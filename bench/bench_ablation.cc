@@ -47,13 +47,16 @@ void ChunkSizeAblation(benchmark::State& state, ExecutionModelKind model) {
       BenchRig::Make(sim::DriverKind::kCudaGpu, sim::HardwareSetup::kSetup1,
                      /*nominal_sf=*/30.0);
   const auto chunk_elems = static_cast<size_t>(state.range(0));
+  const auto make_graph =
+      PrepareQuery(6, catalog, rig.manager.get(), rig.device).GraphFactory();
   for (auto _ : state) {
-    plan::PlanBundle bundle = BuildQuery(6, catalog, rig.device);
+    auto graph = make_graph(rig.device);
+    ADAMANT_CHECK(graph.ok()) << graph.status().ToString();
     ExecutionOptions options;
     options.model = model;
     options.chunk_elems = chunk_elems;
     QueryExecutor executor(rig.manager.get());
-    auto exec = executor.Run(bundle.graph.get(), options);
+    auto exec = executor.Run(graph->get(), options);
     ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
     state.SetIterationTime(sim::SecFromUs(exec->stats.elapsed_us));
     state.counters["elapsed_ms"] = sim::MsFromUs(exec->stats.elapsed_us);
@@ -68,14 +71,17 @@ void RingDepthAblation(benchmark::State& state) {
                                 sim::HardwareSetup::kSetup1,
                                 /*nominal_sf=*/30.0);
   const auto depth = static_cast<size_t>(state.range(0));
+  const auto make_graph =
+      PrepareQuery(6, catalog, rig.manager.get(), rig.device).GraphFactory();
   for (auto _ : state) {
-    plan::PlanBundle bundle = BuildQuery(6, catalog, rig.device);
+    auto graph = make_graph(rig.device);
+    ADAMANT_CHECK(graph.ok()) << graph.status().ToString();
     ExecutionOptions options;
     options.model = ExecutionModelKind::kPipelined;
     options.chunk_elems = size_t{1} << 25;
     options.pipeline_depth = depth;
     QueryExecutor executor(rig.manager.get());
-    auto exec = executor.Run(bundle.graph.get(), options);
+    auto exec = executor.Run(graph->get(), options);
     ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
     state.SetIterationTime(sim::SecFromUs(exec->stats.elapsed_us));
     state.counters["elapsed_ms"] = sim::MsFromUs(exec->stats.elapsed_us);
@@ -88,15 +94,17 @@ void MaterializationAblation(benchmark::State& state, bool late,
   const Catalog& catalog = SharedCatalog();
   BenchRig rig = BenchRig::Make(kind, sim::HardwareSetup::kSetup1,
                                 /*nominal_sf=*/30.0);
+  const auto make_early =
+      PrepareQuery(6, catalog, rig.manager.get(), rig.device).GraphFactory();
   for (auto _ : state) {
-    plan::PlanBundle bundle =
-        late ? std::move(*plan::BuildQ6Late(catalog, {}, rig.device))
-             : std::move(*plan::BuildQ6(catalog, {}, rig.device));
+    auto graph =
+        late ? std::move(plan::BuildQ6Late(catalog, {}, rig.device)->graph)
+             : std::move(*make_early(rig.device));
     ExecutionOptions options;
     options.model = ExecutionModelKind::kFourPhaseChunked;
     options.chunk_elems = size_t{1} << 25;
     QueryExecutor executor(rig.manager.get());
-    auto exec = executor.Run(bundle.graph.get(), options);
+    auto exec = executor.Run(graph.get(), options);
     ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
     state.SetIterationTime(sim::SecFromUs(exec->stats.elapsed_us));
     state.counters["elapsed_ms"] = sim::MsFromUs(exec->stats.elapsed_us);

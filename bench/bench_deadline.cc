@@ -37,14 +37,10 @@ constexpr int kUnloadedQueries = 20;
 constexpr int kWarmupQueries = 5;    // calibrates the cost predictor
 constexpr int kLoadedQueries = 40;
 
-QuerySpec Q6Spec(const Catalog* catalog) {
+QuerySpec Q6Spec(const sql::PreparedQuery& q6) {
   QuerySpec spec;
   spec.name = "Q6";
-  spec.make_graph =
-      [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-    plan::PlanBundle bundle = BuildQuery(6, *catalog, device);
-    return std::move(bundle.graph);
-  };
+  spec.make_graph = q6.GraphFactory();
   return spec;
 }
 
@@ -86,11 +82,12 @@ PhaseResult RunUnloaded(const Catalog& catalog) {
   ServiceConfig config;
   config.workers = 1;
   QueryService service(manager.get(), config);
+  const sql::PreparedQuery q6 = PrepareQuery(6, catalog, manager.get(), 0);
 
   PhaseResult result;
   std::vector<double> latencies;
   for (int i = 0; i < kUnloadedQueries; ++i) {
-    auto ticket = service.Submit(Q6Spec(&catalog));
+    auto ticket = service.Submit(Q6Spec(q6));
     ADAMANT_CHECK(ticket.ok()) << ticket.status().ToString();
     ADAMANT_CHECK((*ticket)->Wait().ok())
         << (*ticket)->Wait().status().ToString();
@@ -118,11 +115,12 @@ PhaseResult RunLoaded(const Catalog& catalog, double interval_ms,
   config.slo.shed_on_admission = shed;
   config.slo.evict_lapsed = shed;
   QueryService service(manager.get(), config);
+  const sql::PreparedQuery q6 = PrepareQuery(6, catalog, manager.get(), 0);
 
   // Calibrate the cost predictor the same way a live service would: by
   // serving. Warmup completions are excluded from the phase counters.
   for (int i = 0; i < kWarmupQueries; ++i) {
-    auto ticket = service.Submit(Q6Spec(&catalog));
+    auto ticket = service.Submit(Q6Spec(q6));
     ADAMANT_CHECK(ticket.ok()) << ticket.status().ToString();
     ADAMANT_CHECK((*ticket)->Wait().ok());
   }
@@ -136,7 +134,7 @@ PhaseResult RunLoaded(const Catalog& catalog, double interval_ms,
         start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double, std::milli>(
                         interval_ms * static_cast<double>(i))));
-    QuerySpec spec = Q6Spec(&catalog);
+    QuerySpec spec = Q6Spec(q6);
     spec.deadline_ms = shed ? deadline_ms : 0;
     auto ticket = service.Submit(std::move(spec));
     if (!ticket.ok()) {

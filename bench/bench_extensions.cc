@@ -24,33 +24,23 @@ const Catalog& FullCatalog() {
   return *kCatalog;
 }
 
-plan::PlanBundle BuildExtension(int query, const Catalog& catalog,
-                                DeviceId device) {
-  switch (query) {
-    case 1:
-      return std::move(*plan::BuildQ1(catalog, {}, device));
-    case 5:
-      return std::move(*plan::BuildQ5(catalog, {}, device));
-    case 12:
-      return std::move(*plan::BuildQ12(catalog, {}, device));
-    default:
-      return std::move(*plan::BuildQ14(catalog, {}, device));
-  }
-}
-
 void ExtensionBench(benchmark::State& state, int query,
                     ExecutionModelKind model) {
   const Catalog& catalog = FullCatalog();
   BenchRig rig = BenchRig::Make(sim::DriverKind::kCudaGpu,
                                 sim::HardwareSetup::kSetup1,
                                 /*nominal_sf=*/30.0);
+  const auto make_graph =
+      PrepareQuery(query, catalog, rig.manager.get(), rig.device)
+          .GraphFactory();
   for (auto _ : state) {
-    plan::PlanBundle bundle = BuildExtension(query, catalog, rig.device);
+    auto graph = make_graph(rig.device);
+    ADAMANT_CHECK(graph.ok()) << graph.status().ToString();
     ExecutionOptions options;
     options.model = model;
     options.chunk_elems = size_t{1} << 25;
     QueryExecutor executor(rig.manager.get());
-    auto exec = executor.Run(bundle.graph.get(), options);
+    auto exec = executor.Run(graph->get(), options);
     ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
     state.SetIterationTime(sim::SecFromUs(exec->stats.elapsed_us));
     state.counters["elapsed_ms"] = sim::MsFromUs(exec->stats.elapsed_us);

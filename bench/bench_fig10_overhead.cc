@@ -18,12 +18,16 @@ void OverheadBench(benchmark::State& state, sim::DriverKind kind, int query) {
   // In-memory scale: queries fit on the device (the overhead measurement
   // isolates framework costs, not transfer scheduling).
   BenchRig rig = BenchRig::Make(kind, sim::HardwareSetup::kSetup1, 1.0);
+  const auto make_graph =
+      PrepareQuery(query, catalog, rig.manager.get(), rig.device)
+          .GraphFactory();
   for (auto _ : state) {
-    plan::PlanBundle bundle = BuildQuery(query, catalog, rig.device);
+    auto graph = make_graph(rig.device);
+    ADAMANT_CHECK(graph.ok()) << graph.status().ToString();
     ExecutionOptions options;
     options.model = ExecutionModelKind::kOperatorAtATime;
     QueryExecutor executor(rig.manager.get());
-    auto exec = executor.Run(bundle.graph.get(), options);
+    auto exec = executor.Run(graph->get(), options);
     ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
     const double total = exec->stats.elapsed_us;
     const double kernels = exec->stats.kernel_body_us;

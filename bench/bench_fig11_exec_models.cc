@@ -27,18 +27,23 @@ void ExecModelBench(benchmark::State& state, sim::DriverKind kind, int query,
   const double sf = kSfPoints[static_cast<size_t>(state.range(0))];
   const Catalog& catalog = SharedCatalog();
   BenchRig rig = BenchRig::Make(kind, sim::HardwareSetup::kSetup1, sf);
+  const sql::PreparedQuery prepared =
+      PrepareQuery(query, catalog, rig.manager.get(), rig.device);
+  const auto make_graph = prepared.GraphFactory();
   for (auto _ : state) {
-    plan::PlanBundle bundle = BuildQuery(query, catalog, rig.device);
+    auto graph = make_graph(rig.device);
+    ADAMANT_CHECK(graph.ok()) << graph.status().ToString();
     ExecutionOptions options;
     options.model = model;
     options.chunk_elems = size_t{1} << 25;  // the paper's chunk size
     QueryExecutor executor(rig.manager.get());
-    auto exec = executor.Run(bundle.graph.get(), options);
+    auto exec = executor.Run(graph->get(), options);
     ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
     state.SetIterationTime(sim::SecFromUs(exec->stats.elapsed_us));
     state.counters["elapsed_ms"] = sim::MsFromUs(exec->stats.elapsed_us);
     state.counters["input_GiB"] =
-        static_cast<double>(plan::QueryInputBytes(bundle)) * (sf / kActualSf) /
+        static_cast<double>(plan::QueryInputBytes(prepared.bundle)) *
+        (sf / kActualSf) /
         (1024.0 * 1024 * 1024);
     state.counters["chunks"] = static_cast<double>(exec->stats.chunks);
   }
@@ -85,7 +90,9 @@ void PrintHeavyDbComparison() {
       BenchRig rig =
           BenchRig::Make(sim::DriverKind::kCudaGpu,
                          sim::HardwareSetup::kSetup2, sf);
-      plan::PlanBundle bundle = BuildQuery(query, catalog, rig.device);
+      const sql::PreparedQuery prepared =
+          PrepareQuery(query, catalog, rig.manager.get(), rig.device);
+      const plan::PlanBundle& bundle = prepared.bundle;
       baseline::HeavyDbExecutor heavy(rig.manager.get(), rig.device);
 
       std::string cold = "OOM", hot = "OOM";
@@ -101,12 +108,13 @@ void PrintHeavyDbComparison() {
       }
 
       auto adamant_ms = [&](ExecutionModelKind model) {
-        plan::PlanBundle fresh = BuildQuery(query, catalog, rig.device);
+        auto fresh = prepared.GraphFactory()(rig.device);
+        ADAMANT_CHECK(fresh.ok()) << fresh.status().ToString();
         ExecutionOptions options;
         options.model = model;
         options.chunk_elems = size_t{1} << 25;
         QueryExecutor executor(rig.manager.get());
-        auto exec = executor.Run(fresh.graph.get(), options);
+        auto exec = executor.Run(fresh->get(), options);
         ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
         return sim::MsFromUs(exec->stats.elapsed_us);
       };

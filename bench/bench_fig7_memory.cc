@@ -27,8 +27,9 @@ const Gpu kGpus[] = {
 double QueryInputGiB(int query, double sf) {
   const Catalog& catalog = SharedCatalog();
   BenchRig rig = BenchRig::Make(sim::DriverKind::kCudaGpu);
-  plan::PlanBundle bundle = BuildQuery(query, catalog, rig.device);
-  return static_cast<double>(plan::QueryInputBytes(bundle)) *
+  sql::PreparedQuery prepared =
+      PrepareQuery(query, catalog, rig.manager.get(), rig.device);
+  return static_cast<double>(plan::QueryInputBytes(prepared.bundle)) *
          (sf / kActualSf) / kBytesPerGiB;
 }
 
@@ -69,18 +70,19 @@ void PrintRightPanel() {
   const Catalog& catalog = SharedCatalog();
   BenchRig rig = BenchRig::Make(sim::DriverKind::kCudaGpu,
                                 sim::HardwareSetup::kSetup1, 10.0);
-  plan::PlanBundle bundle = BuildQuery(6, catalog, rig.device);
+  sql::PreparedQuery prepared =
+      PrepareQuery(6, catalog, rig.manager.get(), rig.device);
   ExecutionOptions options;
   options.model = ExecutionModelKind::kOperatorAtATime;
   QueryExecutor executor(rig.manager.get());
-  auto exec = executor.Run(bundle.graph.get(), options);
+  auto exec = executor.Run(prepared.bundle.graph.get(), options);
   if (!exec.ok()) {
     std::printf("  run failed: %s\n", exec.status().ToString().c_str());
     return;
   }
   const auto& dev = exec->stats.devices[static_cast<size_t>(rig.device)];
   std::printf("  input columns resident : %8.2f GiB\n",
-              static_cast<double>(plan::QueryInputBytes(bundle)) *
+              static_cast<double>(plan::QueryInputBytes(prepared.bundle)) *
                   (10.0 / kActualSf) / kBytesPerGiB);
   std::printf("  peak footprint         : %8.2f GiB  (columns + bitmap + "
               "materialized intermediates)\n",

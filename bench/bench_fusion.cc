@@ -43,8 +43,8 @@ struct RunResult {
   int fused_groups = 0;
 };
 
-// Builds Q6, optionally fuses it, and runs it chunked on a fresh simulated
-// GPU (fresh so the cumulative device clocks measure exactly one run).
+// Prepares Q6 with the given fusion mode and runs it chunked on a fresh
+// simulated GPU (fresh so the cumulative device clocks measure one run).
 Result<RunResult> RunQ6(const Catalog& catalog, FusionMode fusion) {
   DeviceManager manager(sim::HardwareSetup::kSetup1);
   manager.SetDataScale(kNominalSf / kActualSf);
@@ -52,21 +52,20 @@ Result<RunResult> RunQ6(const Catalog& catalog, FusionMode fusion) {
                            manager.AddDriver(sim::DriverKind::kCudaGpu));
   ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(device)));
 
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           plan::BuildQ6(catalog, {}, device));
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
   options.chunk_elems = size_t{1} << 25;
   options.fusion = fusion;
+  ADAMANT_ASSIGN_OR_RETURN(
+      sql::PreparedQuery q6,
+      sql::Prepare("6", catalog, &manager, device, options));
   RunResult r;
-  ADAMANT_ASSIGN_OR_RETURN(plan::FusionReport report,
-                           plan::ApplyFusion(&bundle, options, &manager));
-  r.fused_groups = report.groups;
+  r.fused_groups = q6.fusion.groups;
 
   QueryExecutor executor(&manager);
   ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                           executor.Run(bundle.graph.get(), options));
-  ADAMANT_ASSIGN_OR_RETURN(r.revenue, plan::ExtractQ6(bundle, exec));
+                           executor.Run(q6.bundle.graph.get(), options));
+  ADAMANT_ASSIGN_OR_RETURN(r.revenue, plan::ExtractQ6(q6.bundle, exec));
   r.kernel_body_us = exec.stats.kernel_body_us;
   r.elapsed_us = exec.stats.elapsed_us;
   r.wire_us = exec.stats.transfer_wire_us;

@@ -73,23 +73,11 @@ struct Sample {
   bool match = false;  // bit-identical to the host reference
 };
 
-bool MatchesReference(int query, const plan::PlanBundle& bundle,
-                      const QueryExecution& exec, const Catalog& catalog) {
-  if (query == 6) {
-    auto want = tpch::Q6Reference(catalog, {});
-    auto got = plan::ExtractQ6(bundle, exec);
-    return want.ok() && got.ok() && *got == *want;
-  }
-  auto want = tpch::Q3Reference(catalog, {});
-  auto got = plan::ExtractQ3(bundle, exec, catalog, {});
-  return want.ok() && got.ok() && *got == *want;
-}
-
 Sample RunPoint(DeviceManager* manager, int query, const std::string& label,
                 ExecutionModelKind model, std::vector<DeviceId> device_set,
                 std::vector<double> device_split, bool rebalance) {
-  const Catalog& catalog = SharedCatalog();
-  plan::PlanBundle bundle = BuildQuery(query, catalog, 0);
+  sql::PreparedQuery prepared =
+      PrepareQuery(query, SharedCatalog(), manager, 0);
   ExecutionOptions options;
   options.model = model;
   options.chunk_elems = kChunkElems;
@@ -97,7 +85,7 @@ Sample RunPoint(DeviceManager* manager, int query, const std::string& label,
   options.device_split = std::move(device_split);
   options.split_rebalance = rebalance;
   QueryExecutor executor(manager);
-  auto exec = executor.Run(bundle.graph.get(), options);
+  auto exec = executor.Run(prepared.bundle.graph.get(), options);
   ADAMANT_CHECK(exec.ok()) << "Q" << query << "/" << label << ": "
                            << exec.status().ToString();
   Sample sample;
@@ -118,20 +106,20 @@ Sample RunPoint(DeviceManager* manager, int query, const std::string& label,
   for (const auto& [device, stolen] : exec->stats.chunks_stolen_by_device) {
     sample.chunks_stolen += stolen;
   }
-  sample.match = MatchesReference(query, bundle, *exec, catalog);
+  sample.match = prepared.Verify(*exec).ok();
   return sample;
 }
 
 /// The well-set cost-ratio weights the driver would compute on its own, used
 /// to derive the deliberately mis-set split.
 std::vector<double> AutoWeights(DeviceManager* manager, int query) {
-  const Catalog& catalog = SharedCatalog();
-  plan::PlanBundle bundle = BuildQuery(query, catalog, 0);
+  sql::PreparedQuery prepared =
+      PrepareQuery(query, SharedCatalog(), manager, 0);
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
   options.chunk_elems = kChunkElems;
   options.device_set = {0, 1};
-  auto estimates = exec::EstimateDeviceCosts(*bundle.graph, manager,
+  auto estimates = exec::EstimateDeviceCosts(*prepared.bundle.graph, manager,
                                              options.device_set, options);
   ADAMANT_CHECK(estimates.ok()) << estimates.status().ToString();
   return exec::ThroughputWeights(*estimates);

@@ -66,7 +66,8 @@ Sample RunPoint(int query, ExecutionModelKind model, int devices,
                 double baseline_elapsed_us = 0) {
   const Catalog& catalog = SharedCatalog();
   auto manager = MakeManager(devices);
-  plan::PlanBundle bundle = BuildQuery(query, catalog, 0);
+  const plan::PlanBundle bundle =
+      PrepareQuery(query, catalog, manager.get(), 0).bundle;
   ExecutionOptions options;
   options.model = model;
   options.chunk_elems = kChunkElems;

@@ -37,14 +37,14 @@ constexpr int kIterations = 9;
 double RunOnceMs(DeviceManager* manager, int query,
                  bool collect_operator_stats = false) {
   const Catalog& catalog = SharedCatalog();
-  plan::PlanBundle bundle = BuildQuery(query, catalog, 0);
+  sql::PreparedQuery prepared = PrepareQuery(query, catalog, manager, 0);
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
   options.chunk_elems = kChunkElems;
   options.collect_operator_stats = collect_operator_stats;
   QueryExecutor executor(manager);
   const auto start = std::chrono::steady_clock::now();
-  auto exec = executor.Run(bundle.graph.get(), options);
+  auto exec = executor.Run(prepared.bundle.graph.get(), options);
   const auto end = std::chrono::steady_clock::now();
   ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
   return std::chrono::duration<double, std::milli>(end - start).count();

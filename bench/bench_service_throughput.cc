@@ -30,15 +30,10 @@ struct Sample {
   double queue_wait_p95_ms = 0;  // simulated-run percentile, real queue wait
 };
 
-QuerySpec MakeSpec(const Catalog* catalog, int kind) {
+QuerySpec MakeSpec(const sql::PreparedQuery& prepared) {
   QuerySpec spec;
-  spec.name = kind == 0 ? "Q3" : kind == 1 ? "Q4" : "Q6";
-  spec.make_graph =
-      [catalog, kind](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-    plan::PlanBundle bundle = BuildQuery(kind == 0 ? 3 : kind == 1 ? 4 : 6,
-                                         *catalog, device);
-    return std::move(bundle.graph);
-  };
+  spec.name = prepared.label;
+  spec.make_graph = prepared.GraphFactory();
   return spec;
 }
 
@@ -54,13 +49,18 @@ Sample RunWorkload(const Catalog& catalog, size_t clients) {
   ServiceConfig config;
   config.workers = clients;
   QueryService service(&manager, config);
+  std::vector<sql::PreparedQuery> mix;
+  for (int query : {3, 4, 6}) {
+    mix.push_back(PrepareQuery(query, catalog, &manager, 0));
+  }
 
   std::mt19937 rng(kSeed);
   std::uniform_int_distribution<int> pick(0, 2);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   tickets.reserve(kQueries);
   for (int i = 0; i < kQueries; ++i) {
-    auto ticket = service.Submit(MakeSpec(&catalog, pick(rng)));
+    auto ticket = service.Submit(
+        MakeSpec(mix[static_cast<size_t>(pick(rng))]));
     ADAMANT_CHECK(ticket.ok()) << ticket.status().ToString();
     tickets.push_back(*ticket);
   }

@@ -51,18 +51,19 @@ struct BenchRig {
   SimulatedDevice* dev() const { return manager->device(device); }
 };
 
-inline plan::PlanBundle BuildQuery(int query, const Catalog& catalog,
-                                   DeviceId device) {
-  switch (query) {
-    case 1:
-      return std::move(*plan::BuildQ1(catalog, {}, device));
-    case 3:
-      return std::move(*plan::BuildQ3(catalog, {}, device));
-    case 4:
-      return std::move(*plan::BuildQ4(catalog, {}, device));
-    default:
-      return std::move(*plan::BuildQ6(catalog, {}, device));
-  }
+/// Prepares registry query `query` (sql::Prepare) unfused — the figure
+/// benches measure individual primitives — and aborts on failure. Run the
+/// bundle once, or take fresh graphs from GraphFactory().
+inline sql::PreparedQuery PrepareQuery(int query, const Catalog& catalog,
+                                       DeviceManager* manager,
+                                       DeviceId device) {
+  ExecutionOptions options;
+  options.fusion = FusionMode::kOff;
+  auto prepared = sql::Prepare(std::to_string(query), catalog, manager,
+                               device, options);
+  ADAMANT_CHECK(prepared.ok()) << "Q" << query << ": "
+                               << prepared.status().ToString();
+  return std::move(*prepared);
 }
 
 }  // namespace adamant::bench

@@ -66,28 +66,22 @@ int main() {
   }
 
   // Same plans, same executor — only the device annotation changes.
-  tpch::Q6Params params;
-  auto reference = tpch::Q6Reference(**catalog, params);
-  if (!reference.ok()) return 1;
-
   for (DeviceId device : {*fpga, *gpu}) {
-    auto bundle = plan::BuildQ6(**catalog, params, device);
-    if (!bundle.ok()) return 1;
     ExecutionOptions options;
     options.model = ExecutionModelKind::kFourPhaseChunked;
+    auto q6 = sql::Prepare("6", **catalog, &manager, device, options);
+    if (!q6.ok()) return 1;
     QueryExecutor executor(&manager);
-    auto exec = executor.Run(bundle->graph.get(), options);
+    auto exec = executor.Run(q6->bundle.graph.get(), q6->options);
     if (!exec.ok()) {
       std::fprintf(stderr, "run failed: %s\n", exec.status().ToString().c_str());
       return 1;
     }
-    auto revenue = plan::ExtractQ6(*bundle, *exec);
     std::printf(
         "Q6 on %-12s: %10.3f ms simulated, revenue %s (4-phase, %zu chunks)\n",
         manager.device(device)->name().c_str(),
         sim::MsFromUs(exec->stats.elapsed_us),
-        *revenue == *reference ? "correct" : "WRONG",
-        exec->stats.chunks);
+        q6->Verify(*exec).ok() ? "correct" : "WRONG", exec->stats.chunks);
   }
 
   std::printf(

@@ -38,21 +38,14 @@ int main() {
            {ExecutionModelKind::kChunked, ExecutionModelKind::kPipelined,
             ExecutionModelKind::kFourPhaseChunked,
             ExecutionModelKind::kFourPhasePipelined}) {
-        plan::PlanBundle bundle = [&] {
-          switch (query) {
-            case 3:
-              return std::move(*plan::BuildQ3(**catalog, {}, *gpu));
-            case 4:
-              return std::move(*plan::BuildQ4(**catalog, {}, *gpu));
-            default:
-              return std::move(*plan::BuildQ6(**catalog, {}, *gpu));
-          }
-        }();
         ExecutionOptions options;
         options.model = model;
         options.chunk_elems = size_t{1} << 25;
+        auto prepared = sql::Prepare(std::to_string(query), **catalog,
+                                     &manager, *gpu, options);
+        if (!prepared.ok()) return 1;
         QueryExecutor executor(&manager);
-        auto exec = executor.Run(bundle.graph.get(), options);
+        auto exec = executor.Run(prepared->bundle.graph.get(), options);
         if (!exec.ok()) {
           std::fprintf(stderr, "%s\n", exec.status().ToString().c_str());
           return 1;

@@ -21,10 +21,10 @@ int main() {
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   if (!gpu.ok() || !BindStandardKernels(manager.device(*gpu)).ok()) return 1;
 
-  auto bundle = plan::BuildQ6(**catalog, {}, *gpu);
-  if (!bundle.ok()) return 1;
+  auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, {});
+  if (!q6.ok()) return 1;
   const double input_gib = static_cast<double>(
-                               plan::QueryInputBytes(*bundle)) *
+                               plan::QueryInputBytes(q6->bundle)) *
                            manager.data_scale() / (1024.0 * 1024 * 1024);
   std::printf("TPC-H Q6 at nominal SF 100: %.1f GiB of input columns\n",
               input_gib);
@@ -40,27 +40,29 @@ int main() {
   {
     ExecutionOptions options;
     options.model = ExecutionModelKind::kOperatorAtATime;
-    auto exec = executor.Run(bundle->graph.get(), options);
+    auto exec = executor.Run(q6->bundle.graph.get(), options);
     std::printf("operator-at-a-time : %s\n",
                 exec.ok() ? "unexpectedly succeeded"
                           : exec.status().ToString().c_str());
   }
 
-  // Chunked models: bounded device-memory footprint.
+  // Chunked models: bounded device-memory footprint. Each run takes a
+  // fresh graph from the prepared query's factory.
   auto reference = tpch::Q6Reference(**catalog, {});
   for (auto model :
        {ExecutionModelKind::kChunked, ExecutionModelKind::kFourPhaseChunked}) {
-    plan::PlanBundle fresh = std::move(*plan::BuildQ6(**catalog, {}, *gpu));
+    auto fresh = q6->GraphFactory()(*gpu);
+    if (!fresh.ok()) return 1;
     ExecutionOptions options;
     options.model = model;
     options.chunk_elems = size_t{1} << 25;  // the paper's chunk size
-    auto exec = executor.Run(fresh.graph.get(), options);
+    auto exec = executor.Run(fresh->get(), options);
     if (!exec.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", ExecutionModelName(model),
                    exec.status().ToString().c_str());
       return 1;
     }
-    auto revenue = plan::ExtractQ6(fresh, *exec);
+    auto revenue = plan::ExtractQ6(q6->bundle, *exec);
     const auto& dev = exec->stats.devices[static_cast<size_t>(*gpu)];
     std::printf(
         "%-18s : %8.1f ms simulated, %zu chunks, peak device memory "

@@ -20,12 +20,34 @@ int main() {
   if (!BindStandardKernels(manager.device(*gpu)).ok()) return 1;
   if (!BindStandardKernels(manager.device(*cpu)).ok()) return 1;
 
-  // 1) A logical plan, as an optimizer would emit it.
+  // 1) A logical plan, as an optimizer would emit it: TPC-H Q3, with
+  //    cardinality estimates that size the device buffers.
+  using namespace plan;  // NOLINT — the plan-building DSL
   tpch::Q3Params params;
-  auto logical = plan::Q3Logical(**catalog, params);
-  if (!logical.ok()) return 1;
+  const StringDictionary* segments =
+      (*(*catalog)->GetTable("customer"))->FindDictionary("c_mktsegment");
+  if (segments == nullptr) return 1;
+  auto segment = segments->Lookup(params.segment);
+  if (!segment.ok()) return 1;
+  const double orders = static_cast<double>(
+      (*(*catalog)->GetTable("orders"))->num_rows());
+  auto customer_orders = HashJoin(
+      Filter(Scan("orders"), {Predicate::Lt("o_orderdate", params.date, 0.5)}),
+      Filter(Scan("customer"),
+             {Predicate::Eq("c_mktsegment", *segment, 0.22)}),
+      "o_custkey", "c_custkey", ProbeMode::kAll, /*join_selectivity=*/0.25);
+  auto joined = HashJoin(
+      Filter(Scan("lineitem"),
+             {Predicate::Gt("l_shipdate", params.date, 0.56)}),
+      customer_orders, "l_orderkey", "o_orderkey", ProbeMode::kAll,
+      /*join_selectivity=*/0.22);
+  auto logical = GroupBy(
+      Project(joined, {{"revenue", ScalarExpr::MulPctComplement(
+                                       "l_extendedprice", "l_discount")}}),
+      "l_orderkey", {{AggOp::kSum, "revenue", "revenue"}},
+      /*expected_groups=*/orders * 0.15, /*groups_scale_with_data=*/true);
   std::printf("=== Logical plan (TPC-H Q3) ===\n%s\n",
-              plan::ExplainPlan(**logical).c_str());
+              ExplainPlan(*logical).c_str());
 
   // 2) Lower it with a heterogeneous placement policy: streaming primitives
   //    on the CPU driver, hash primitives on the GPU. The router moves data
@@ -34,7 +56,7 @@ int main() {
   policy.default_device = *gpu;
   policy.by_kind[PrimitiveKind::kFilterBitmap] = *cpu;
   policy.by_kind[PrimitiveKind::kMap] = *cpu;
-  auto bundle = plan::LowerPlan(**logical, **catalog, policy);
+  auto bundle = plan::LowerPlan(*logical, **catalog, policy);
   if (!bundle.ok()) {
     std::fprintf(stderr, "lowering: %s\n", bundle.status().ToString().c_str());
     return 1;
@@ -75,14 +97,12 @@ int main() {
   // 4) What-if placement search: simulate every (streaming, hash, sink) ->
   //    device assignment and report the ranking.
   manager.SetDataScale(30.0 / 0.01);  // placement matters at larger scales
-  auto q6 = plan::Q6Logical(**catalog, {});
-  if (!q6.ok()) return 1;
   ExecutionOptions search_options;
   search_options.model = ExecutionModelKind::kChunked;
   auto search =
-      plan::SearchPlacements(**q6, **catalog, &manager, search_options);
+      plan::SearchPlacements(*logical, **catalog, &manager, search_options);
   if (!search.ok()) return 1;
-  std::printf("\n=== What-if placement search (Q6, nominal SF 30) ===\n");
+  std::printf("\n=== What-if placement search (Q3, nominal SF 30) ===\n");
   for (const auto& [name, elapsed] : search->evaluated) {
     if (elapsed < 0) {
       std::printf("  %-60s failed\n", name.c_str());

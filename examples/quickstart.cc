@@ -32,25 +32,28 @@ int main() {
   // runtime-compile these through prepare_kernel).
   if (auto st = BindStandardKernels(manager.device(*gpu)); !st.ok()) return 1;
 
-  // 3) Build a query plan as a primitive graph (normally produced by an
-  //    optimizer) and execute it with the chunked execution model.
-  tpch::Q6Params params;
-  auto bundle = plan::BuildQ6(**catalog, params, *gpu);
-  if (!bundle.ok()) return 1;
-
+  // 3) Prepare the query: sql::Prepare compiles registry query "6" (the
+  //    q6 SQL builtin) into a primitive graph annotated with the device —
+  //    what an optimizer hands the runtime — fusing it where the device's
+  //    cost model predicts a win. Then execute it chunked.
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
   options.chunk_elems = size_t{1} << 25;  // the paper's chunk size
+  auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, options);
+  if (!q6.ok()) {
+    std::fprintf(stderr, "prepare: %s\n", q6.status().ToString().c_str());
+    return 1;
+  }
 
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(q6->bundle.graph.get(), q6->options);
   if (!exec.ok()) {
     std::fprintf(stderr, "run: %s\n", exec.status().ToString().c_str());
     return 1;
   }
 
-  auto revenue = plan::ExtractQ6(*bundle, *exec);
-  auto reference = tpch::Q6Reference(**catalog, params);
+  auto revenue = plan::ExtractQ6(q6->bundle, *exec);
+  auto reference = tpch::Q6Reference(**catalog, {});
   if (!revenue.ok() || !reference.ok()) return 1;
 
   std::printf("TPC-H Q6 @ SF %.2f on %s (%s)\n", config.scale_factor,

@@ -1,6 +1,6 @@
-// SQL quickstart: generate TPC-H, plug a simulated GPU, compile a SQL
-// query through the frontend (lexer → parser → binder → planner), lower it
-// to a primitive graph, run it, and print the result table. See docs/sql.md
+// SQL quickstart: generate TPC-H, plug a simulated GPU, prepare a SQL
+// query (lexer → parser → binder → planner → lowering → fusion), run it,
+// and print the result table. See docs/sql.md
 // for the supported grammar.
 
 #include <cstdio>
@@ -24,25 +24,22 @@ int main() {
       "GROUP BY l_returnflag "
       "ORDER BY lines DESC";
 
-  sql::PlannerOptions planner_options;
-  planner_options.manager = &manager;  // cost model prices join orders
-  auto compiled = sql::Compile(query, **catalog, planner_options);
-  if (!compiled.ok()) {  // errors carry line:col positions
-    std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
+  // sql::Prepare compiles the text (the planner prices join orders with
+  // the device cost model), lowers it onto the GPU and fuses it.
+  auto prepared = sql::Prepare(query, **catalog, &manager, *gpu, {});
+  if (!prepared.ok()) {  // errors carry line:col positions
+    std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s", sql::ExplainCompiled(*compiled).c_str());
-
-  auto bundle = plan::LowerPlan(*compiled->plan, **catalog, *gpu);
-  if (!bundle.ok()) return 1;
+  std::printf("%s", prepared->Explain().c_str());
 
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), {});
+  auto exec = executor.Run(prepared->bundle.graph.get(), prepared->options);
   if (!exec.ok()) return 1;
 
-  auto results = sql::ExtractResults(*compiled, *bundle, *exec);
+  auto results = prepared->Results(*exec);
   if (!results.ok()) return 1;
-  std::printf("%s", sql::FormatResultSet(*results, *compiled,
+  std::printf("%s", sql::FormatResultSet(*results, *prepared->compiled,
                                          **catalog).c_str());
   return 0;
 }

@@ -38,7 +38,6 @@
 #include "plan/logical_plan.h"
 #include "plan/lowering.h"
 #include "plan/placement_optimizer.h"
-#include "plan/tpch_logical.h"
 #include "plan/tpch_plans.h"
 #include "runtime/chunk_tuner.h"
 #include "runtime/exec/hetero_split.h"
@@ -54,6 +53,7 @@
 #include "sim/presets.h"
 #include "sql/builtin_queries.h"
 #include "sql/engine.h"
+#include "sql/prepare.h"
 #include "sim/trace_export.h"
 #include "storage/table.h"
 #include "task/containers.h"

@@ -50,72 +50,6 @@ NodeConfig HashCfg(double expected_rows, bool scale = true) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Q6 — SELECT SUM(extendedprice * discount) FROM lineitem WHERE shipdate in
-// [date, date+1y) AND discount BETWEEN pct-1 AND pct+1 AND quantity < q.
-// One pipeline: three chained filters, two materializations, map, reduce.
-// ---------------------------------------------------------------------------
-Result<PlanBundle> BuildQ6(const Catalog& catalog,
-                           const tpch::Q6Params& params, DeviceId device) {
-  using K = PrimitiveKind;
-  PlanBundle bundle;
-  bundle.graph = std::make_unique<PrimitiveGraph>();
-  PrimitiveGraph& g = *bundle.graph;
-
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr shipdate,
-                           Col(catalog, "lineitem", "l_shipdate"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr discount,
-                           Col(catalog, "lineitem", "l_discount"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr quantity,
-                           Col(catalog, "lineitem", "l_quantity"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr extprice,
-                           Col(catalog, "lineitem", "l_extendedprice"));
-
-  int f_ship = g.AddNode(
-      K::kFilterBitmap, device,
-      FilterCfg(CmpOp::kBetween, params.date, params.date_end() - 1),
-      "q6.filter_shipdate");
-  int f_disc = g.AddNode(K::kFilterBitmap, device,
-                         FilterCfg(CmpOp::kBetween, params.discount_pct - 1,
-                                   params.discount_pct + 1, /*combine=*/true),
-                         "q6.filter_discount");
-  int f_qty = g.AddNode(
-      K::kFilterBitmap, device,
-      FilterCfg(CmpOp::kLt, params.quantity, 0, /*combine=*/true),
-      "q6.filter_quantity");
-  int m_price = g.AddNode(K::kMaterialize, device, MaterializeCfg(0.06),
-                          "q6.materialize_price");
-  int m_disc = g.AddNode(K::kMaterialize, device, MaterializeCfg(0.06),
-                         "q6.materialize_discount");
-  int map_rev =
-      g.AddNode(K::kMap, device,
-                MapCfg(MapOp::kMulPct, ElementType::kInt64, ElementType::kInt64),
-                "q6.map_revenue");
-  NodeConfig agg_cfg;
-  agg_cfg.agg_op = AggOp::kSum;
-  int agg = g.AddNode(K::kAggBlock, device, agg_cfg, "q6.agg_revenue");
-
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(shipdate, f_ship, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(discount, f_disc, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_ship, 0, f_disc, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(quantity, f_qty, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_disc, 0, f_qty, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(extprice, m_price, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_qty, 0, m_price, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(discount, m_disc, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_qty, 0, m_disc, 1).status());
-  ADAMANT_RETURN_NOT_OK(
-      g.Connect(m_price, 0, map_rev, 0, ElementType::kInt64).status());
-  ADAMANT_RETURN_NOT_OK(
-      g.Connect(m_disc, 0, map_rev, 1, ElementType::kInt32).status());
-  ADAMANT_RETURN_NOT_OK(
-      g.Connect(map_rev, 0, agg, 0, ElementType::kInt64).status());
-
-  bundle.nodes = {{"agg", agg}};
-  bundle.result_node = agg;
-  return bundle;
-}
-
 Result<int64_t> ExtractQ6(const PlanBundle& bundle,
                           const QueryExecution& exec) {
   return exec.AggValue(bundle.result_node);
@@ -301,101 +235,6 @@ Result<PlanBundle> BuildRevenueByOrderHashed(const Catalog& catalog,
 }
 
 // ---------------------------------------------------------------------------
-// Q4 — order-priority count of orders in a quarter having a late lineitem
-// (EXISTS -> build on late lineitems, semi-probe from orders).
-// Pipeline 1 (lineitem): map(receipt-commit) -> filter(>0) -> materialize
-//   orderkeys -> hash_build.
-// Pipeline 2 (orders): filter(date window) -> materialize orderkey+priority
-//   -> semi probe -> gather priorities -> hash_agg COUNT.
-// ---------------------------------------------------------------------------
-Result<PlanBundle> BuildQ4(const Catalog& catalog,
-                           const tpch::Q4Params& params, DeviceId device) {
-  using K = PrimitiveKind;
-  PlanBundle bundle;
-  bundle.graph = std::make_unique<PrimitiveGraph>();
-  PrimitiveGraph& g = *bundle.graph;
-
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr l_orderkey,
-                           Col(catalog, "lineitem", "l_orderkey"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr l_commit,
-                           Col(catalog, "lineitem", "l_commitdate"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr l_receipt,
-                           Col(catalog, "lineitem", "l_receiptdate"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr o_orderkey,
-                           Col(catalog, "orders", "o_orderkey"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr o_orderdate,
-                           Col(catalog, "orders", "o_orderdate"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr o_priority,
-                           Col(catalog, "orders", "o_orderpriority"));
-
-  const auto lineitem_rows = static_cast<double>(l_orderkey->length());
-
-  // Pipeline 1: late lineitems -> hash table of orderkeys.
-  int map_late = g.AddNode(
-      K::kMap, device,
-      MapCfg(MapOp::kSubCol, ElementType::kInt32, ElementType::kInt32),
-      "q4.map_lateness");
-  int f_late = g.AddNode(K::kFilterBitmap, device, FilterCfg(CmpOp::kGt, 0),
-                         "q4.filter_late");
-  int m_lok = g.AddNode(K::kMaterialize, device, MaterializeCfg(0.75),
-                        "q4.materialize_lineitem_orderkey");
-  int build = g.AddNode(K::kHashBuild, device, HashCfg(lineitem_rows * 0.70),
-                        "q4.build_late_orders");
-
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_receipt, map_late, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_commit, map_late, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(map_late, 0, f_late, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_orderkey, m_lok, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_late, 0, m_lok, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_lok, 0, build, 0).status());
-
-  // Pipeline 2: quarter's orders, semi join, count per priority.
-  int f_date = g.AddNode(
-      K::kFilterBitmap, device,
-      FilterCfg(CmpOp::kBetween, params.date, params.date_end() - 1),
-      "q4.filter_orderdate");
-  int m_ok = g.AddNode(K::kMaterialize, device, MaterializeCfg(0.08),
-                       "q4.materialize_orderkey");
-  int m_prio = g.AddNode(K::kMaterialize, device, MaterializeCfg(0.08),
-                         "q4.materialize_priority");
-  NodeConfig probe_cfg;
-  probe_cfg.probe_mode = ProbeMode::kSemi;
-  probe_cfg.selectivity = 1.0;
-  int probe = g.AddNode(K::kHashProbe, device, probe_cfg, "q4.semi_probe");
-  int gather =
-      g.AddNode(K::kMaterializePosition, device, {}, "q4.gather_priority");
-  NodeConfig agg_cfg = HashCfg(/*5 priorities*/ 8, /*scale=*/false);
-  agg_cfg.agg_op = AggOp::kCount;
-  int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "q4.count_by_priority");
-
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(o_orderdate, f_date, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(o_orderkey, m_ok, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_date, 0, m_ok, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(o_priority, m_prio, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(f_date, 0, m_prio, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_ok, 0, probe, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(build, 0, probe, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_prio, 0, gather, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(probe, 0, gather, 1).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(gather, 0, agg, 0).status());
-
-  bundle.nodes = {{"build", build}, {"probe", probe}, {"agg", agg}};
-  bundle.result_node = agg;
-  return bundle;
-}
-
-Result<std::vector<tpch::Q4Row>> ExtractQ4(const PlanBundle& bundle,
-                                           const QueryExecution& exec) {
-  ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(bundle.result_node));
-  std::vector<tpch::Q4Row> rows;
-  rows.reserve(groups.size());
-  for (const auto& [priority, count] : groups) {
-    rows.push_back(tpch::Q4Row{priority, count});
-  }
-  return rows;
-}
-
-// ---------------------------------------------------------------------------
 // Q3 — revenue of undelivered orders for one market segment.
 // Pipeline 1 (customer): filter segment -> materialize custkey -> build HT1.
 // Pipeline 2 (orders): filter date -> materialize custkey/orderkey -> probe
@@ -576,147 +415,6 @@ Result<std::vector<tpch::Q3Row>> ExtractQ3(const PlanBundle& bundle,
             });
   if (rows.size() > params.limit) rows.resize(params.limit);
   return rows;
-}
-
-// ---------------------------------------------------------------------------
-// Q1 — pricing summary: five aggregates grouped by packed
-// (returnflag, linestatus) keys. Extension beyond the paper's three queries.
-// ---------------------------------------------------------------------------
-Result<PlanBundle> BuildQ1(const Catalog& catalog,
-                           const tpch::Q1Params& params, DeviceId device) {
-  using K = PrimitiveKind;
-  PlanBundle bundle;
-  bundle.graph = std::make_unique<PrimitiveGraph>();
-  PrimitiveGraph& g = *bundle.graph;
-
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr shipdate,
-                           Col(catalog, "lineitem", "l_shipdate"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr quantity,
-                           Col(catalog, "lineitem", "l_quantity"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr extprice,
-                           Col(catalog, "lineitem", "l_extendedprice"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr discount,
-                           Col(catalog, "lineitem", "l_discount"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr tax, Col(catalog, "lineitem", "l_tax"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr returnflag,
-                           Col(catalog, "lineitem", "l_returnflag"));
-  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr linestatus,
-                           Col(catalog, "lineitem", "l_linestatus"));
-
-  int f = g.AddNode(K::kFilterBitmap, device,
-                    FilterCfg(CmpOp::kLe, params.ship_cutoff()),
-                    "q1.filter_shipdate");
-  ADAMANT_RETURN_NOT_OK(g.ConnectScan(shipdate, f, 0).status());
-
-  auto materialize = [&](ColumnPtr column, const char* label) -> Result<int> {
-    int node = g.AddNode(K::kMaterialize, device, MaterializeCfg(1.0), label);
-    ADAMANT_RETURN_NOT_OK(g.ConnectScan(std::move(column), node, 0).status());
-    ADAMANT_RETURN_NOT_OK(g.Connect(f, 0, node, 1).status());
-    return node;
-  };
-  ADAMANT_ASSIGN_OR_RETURN(int m_rf, materialize(returnflag, "q1.mat_rf"));
-  ADAMANT_ASSIGN_OR_RETURN(int m_ls, materialize(linestatus, "q1.mat_ls"));
-  ADAMANT_ASSIGN_OR_RETURN(int m_qty, materialize(quantity, "q1.mat_qty"));
-  ADAMANT_ASSIGN_OR_RETURN(int m_price, materialize(extprice, "q1.mat_price"));
-  ADAMANT_ASSIGN_OR_RETURN(int m_disc, materialize(discount, "q1.mat_disc"));
-  ADAMANT_ASSIGN_OR_RETURN(int m_tax, materialize(tax, "q1.mat_tax"));
-
-  // key = returnflag * 8 + linestatus (dictionary codes are small ints).
-  int key_hi = g.AddNode(
-      K::kMap, device,
-      MapCfg(MapOp::kMulScalar, ElementType::kInt32, ElementType::kInt32, 8),
-      "q1.map_key_hi");
-  int key = g.AddNode(
-      K::kMap, device,
-      MapCfg(MapOp::kAddCol, ElementType::kInt32, ElementType::kInt32),
-      "q1.map_key");
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_rf, 0, key_hi, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(key_hi, 0, key, 0).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_ls, 0, key, 1).status());
-
-  int disc_price = g.AddNode(K::kMap, device,
-                             MapCfg(MapOp::kMulPctComplement,
-                                    ElementType::kInt64, ElementType::kInt64),
-                             "q1.map_disc_price");
-  ADAMANT_RETURN_NOT_OK(
-      g.Connect(m_price, 0, disc_price, 0, ElementType::kInt64).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_disc, 0, disc_price, 1).status());
-  int charge = g.AddNode(K::kMap, device,
-                         MapCfg(MapOp::kMulPctPlus, ElementType::kInt64,
-                                ElementType::kInt64),
-                         "q1.map_charge");
-  ADAMANT_RETURN_NOT_OK(
-      g.Connect(disc_price, 0, charge, 0, ElementType::kInt64).status());
-  ADAMANT_RETURN_NOT_OK(g.Connect(m_tax, 0, charge, 1).status());
-
-  auto agg = [&](int values_node, ElementType type, AggOp op,
-                 const char* label) -> Result<int> {
-    NodeConfig cfg = HashCfg(/*<=24 packed keys*/ 32, /*scale=*/false);
-    cfg.agg_op = op;
-    int node = g.AddNode(K::kHashAgg, device, cfg, label);
-    ADAMANT_RETURN_NOT_OK(g.Connect(key, 0, node, 0).status());
-    if (op != AggOp::kCount) {
-      ADAMANT_RETURN_NOT_OK(g.Connect(values_node, 0, node, 1, type).status());
-    }
-    return node;
-  };
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_qty, agg(m_qty, ElementType::kInt32, AggOp::kSum, "q1.sum_qty"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_base,
-      agg(m_price, ElementType::kInt64, AggOp::kSum, "q1.sum_base"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_disc,
-      agg(disc_price, ElementType::kInt64, AggOp::kSum, "q1.sum_disc_price"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_charge,
-      agg(charge, ElementType::kInt64, AggOp::kSum, "q1.sum_charge"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_count, agg(-1, ElementType::kInt64, AggOp::kCount, "q1.count"));
-
-  bundle.nodes = {{"sum_qty", a_qty},
-                  {"sum_base", a_base},
-                  {"sum_disc_price", a_disc},
-                  {"sum_charge", a_charge},
-                  {"count", a_count}};
-  bundle.result_node = a_count;
-  return bundle;
-}
-
-Result<std::vector<tpch::Q1Row>> ExtractQ1(const PlanBundle& bundle,
-                                           const QueryExecution& exec) {
-  std::map<int32_t, tpch::Q1Row> rows;
-  auto fold = [&](const char* name, auto apply) -> Status {
-    ADAMANT_ASSIGN_OR_RETURN(auto groups,
-                             exec.GroupResults(bundle.nodes.at(name)));
-    for (const auto& [packed, value] : groups) {
-      tpch::Q1Row& row = rows[packed];
-      row.returnflag = packed / 8;
-      row.linestatus = packed % 8;
-      apply(&row, value);
-    }
-    return Status::OK();
-  };
-  ADAMANT_RETURN_NOT_OK(fold("sum_qty", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_qty = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("sum_base", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_base_price = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("sum_disc_price", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_disc_price = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("sum_charge", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_charge = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("count", [](tpch::Q1Row* r, int64_t v) {
-    r->count = v;
-  }));
-
-  std::vector<tpch::Q1Row> result;
-  result.reserve(rows.size());
-  for (const auto& [packed, row] : rows) result.push_back(row);
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -945,19 +643,25 @@ Result<PlanBundle> BuildQ5(const Catalog& catalog,
   return bundle;
 }
 
-Result<std::vector<tpch::Q5Row>> ExtractQ5(const PlanBundle& bundle,
-                                           const QueryExecution& exec,
-                                           const Catalog& catalog) {
-  ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(bundle.result_node));
+Result<std::map<int32_t, std::string>> NationNames(const Catalog& catalog) {
   ADAMANT_ASSIGN_OR_RETURN(TablePtr nation, catalog.GetTable("nation"));
   const StringDictionary* dict = nation->FindDictionary("n_name");
   if (dict == nullptr) return Status::Internal("nation dictionary missing");
   ADAMANT_ASSIGN_OR_RETURN(ColumnPtr n_key, nation->GetColumn("n_nationkey"));
   ADAMANT_ASSIGN_OR_RETURN(ColumnPtr n_name, nation->GetColumn("n_name"));
-  std::map<int32_t, int32_t> name_of;
+  std::map<int32_t, std::string> names;
   for (size_t i = 0; i < nation->num_rows(); ++i) {
-    name_of[n_key->Value<int32_t>(i)] = n_name->Value<int32_t>(i);
+    names[n_key->Value<int32_t>(i)] =
+        dict->GetString(n_name->Value<int32_t>(i));
   }
+  return names;
+}
+
+Result<std::vector<tpch::Q5Row>> ExtractQ5(const PlanBundle& bundle,
+                                           const QueryExecution& exec,
+                                           const Catalog& catalog) {
+  ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(bundle.result_node));
+  ADAMANT_ASSIGN_OR_RETURN(auto name_of, NationNames(catalog));
   std::vector<tpch::Q5Row> rows;
   rows.reserve(groups.size());
   for (const auto& [nationkey, revenue] : groups) {
@@ -966,8 +670,7 @@ Result<std::vector<tpch::Q5Row>> ExtractQ5(const PlanBundle& bundle,
       return Status::Internal("nation key " + std::to_string(nationkey) +
                               " not in nation table");
     }
-    rows.push_back(
-        tpch::Q5Row{nationkey, dict->GetString(it->second), revenue});
+    rows.push_back(tpch::Q5Row{nationkey, it->second, revenue});
   }
   std::sort(rows.begin(), rows.end(),
             [](const tpch::Q5Row& a, const tpch::Q5Row& b) {

@@ -27,12 +27,6 @@ struct PlanBundle {
   int result_node = -1;
 };
 
-/// TPC-H Q6: conjunctive filter chain + revenue map + block aggregation
-/// (one pipeline; the paper's "heavy aggregation" query). This is the
-/// early-materialization variant (bitmaps + MATERIALIZE).
-Result<PlanBundle> BuildQ6(const Catalog& catalog,
-                           const tpch::Q6Params& params, DeviceId device);
-
 /// TPC-H Q6 with late materialization: FILTER_POSITION produces position
 /// lists, successive predicates gather-and-filter, and position lists
 /// compose through MATERIALIZE_POSITION — the "late materialization with
@@ -52,20 +46,10 @@ Result<PlanBundle> BuildRevenueByOrderSorted(const Catalog& catalog,
 Result<PlanBundle> BuildRevenueByOrderHashed(const Catalog& catalog,
                                              DeviceId device);
 
-/// TPC-H Q4: EXISTS subquery as build(lineitem)/semi-probe(orders) +
-/// priority count (two pipelines; the paper's "subquery" query).
-Result<PlanBundle> BuildQ4(const Catalog& catalog,
-                           const tpch::Q4Params& params, DeviceId device);
-
 /// TPC-H Q3: customer⨝orders⨝lineitem with per-order revenue aggregation
 /// (three pipelines; the paper's "multiple joins" query).
 Result<PlanBundle> BuildQ3(const Catalog& catalog,
                            const tpch::Q3Params& params, DeviceId device);
-
-/// TPC-H Q1: pricing summary with five aggregates over packed
-/// (returnflag, linestatus) keys (extension beyond the paper's three).
-Result<PlanBundle> BuildQ1(const Catalog& catalog,
-                           const tpch::Q1Params& params, DeviceId device);
 
 /// TPC-H Q5: local supplier volume — the six-table join. Four hash tables
 /// (region-filtered nations, customers, suppliers, date-filtered orders)
@@ -94,13 +78,10 @@ Result<PlanBundle> BuildQ14(const Catalog& catalog,
 
 // --- Result assembly (host-side finish of the small final result) ---
 
-/// Q6: the revenue in cents.
+/// Q6 (and any plan whose result node is one block aggregate): the
+/// revenue in cents.
 Result<int64_t> ExtractQ6(const PlanBundle& bundle,
                           const QueryExecution& exec);
-
-/// Q4: (priority code, count) rows sorted by code.
-Result<std::vector<tpch::Q4Row>> ExtractQ4(const PlanBundle& bundle,
-                                           const QueryExecution& exec);
 
 /// Q3: top-limit rows by (revenue desc, orderdate, orderkey); the
 /// orderdate/shippriority columns are joined back on the host.
@@ -109,9 +90,8 @@ Result<std::vector<tpch::Q3Row>> ExtractQ3(const PlanBundle& bundle,
                                            const Catalog& catalog,
                                            const tpch::Q3Params& params);
 
-/// Q1: rows sorted by (returnflag, linestatus) code.
-Result<std::vector<tpch::Q1Row>> ExtractQ1(const PlanBundle& bundle,
-                                           const QueryExecution& exec);
+/// n_nationkey -> decoded n_name, from the catalog's nation table.
+Result<std::map<int32_t, std::string>> NationNames(const Catalog& catalog);
 
 /// Q5: rows by (revenue desc, nationkey asc), nation names decoded.
 Result<std::vector<tpch::Q5Row>> ExtractQ5(const PlanBundle& bundle,

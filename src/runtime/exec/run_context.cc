@@ -32,9 +32,11 @@ RunContext::RunContext(DeviceManager* manager, PrimitiveGraph* graph,
 }
 
 Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
-  ADAMANT_RETURN_NOT_OK(CheckCancel());
   ADAMANT_RETURN_NOT_OK(graph_->Validate());
   ADAMANT_ASSIGN_OR_RETURN(pipelines_, graph_->SplitPipelines());
+  // Checked after the split, so a run whose token tripped before it started
+  // still reports one (empty) operator entry per node to its stats sink.
+  ADAMANT_RETURN_NOT_OK(CheckCancel());
   graph_->ResetProgress();
 
   if (device_override.empty()) {

@@ -6,8 +6,7 @@
 #include <sstream>
 
 #include "obs/chrome_trace.h"
-#include "plan/lowering.h"
-#include "sql/engine.h"
+#include "sql/prepare.h"
 #include "obs/trace.h"
 #include "runtime/exec/hetero_split.h"
 #include "runtime/executor.h"
@@ -115,27 +114,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
           "QuerySpec.sql requires QuerySpec.sql_catalog");
     }
     if (spec.name.empty()) spec.name = "sql";
-    sql::PlannerOptions planner_options;
-    planner_options.manager = manager_;
-    if (config_.collect_operator_stats) {
-      // Recompiles of a served query name consult the selectivities its
-      // earlier analyzed runs measured.
-      planner_options.feedback = &feedback_;
-      planner_options.feedback_name = spec.name;
-    }
-    ADAMANT_ASSIGN_OR_RETURN(
-        sql::CompiledQuery compiled,
-        sql::Compile(spec.sql, *spec.sql_catalog, planner_options));
-    auto plan = compiled.plan;
-    const Catalog* catalog = spec.sql_catalog;
-    spec.make_graph = [plan, catalog](DeviceId device)
-        -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::LowerPlan(*plan, *catalog, device));
-      return std::move(bundle.graph);
-    };
-  }
-  if (!spec.make_graph) {
+  } else if (!spec.make_graph) {
     return Status::InvalidArgument("QuerySpec.make_graph is not set");
   }
   for (DeviceId device : spec.eligible_devices) {
@@ -169,8 +148,30 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
   // eligible device.
   const DeviceId probe_device =
       spec.eligible_devices.empty() ? 0 : spec.eligible_devices.front();
-  ADAMANT_ASSIGN_OR_RETURN(std::unique_ptr<PrimitiveGraph> probe,
-                           spec.make_graph(probe_device));
+  std::unique_ptr<PrimitiveGraph> probe;
+  if (!spec.sql.empty()) {
+    sql::PlannerOptions planner_options;
+    planner_options.manager = manager_;
+    if (config_.collect_operator_stats) {
+      // Recompiles of a served query name consult the selectivities its
+      // earlier analyzed runs measured.
+      planner_options.feedback = &feedback_;
+      planner_options.feedback_name = spec.name;
+    }
+    // Served SQL runs unfused: clients read results through an unfused
+    // lowering of the same text, and per-request fusion would shift the
+    // service's kernel-body share of elapsed time.
+    ExecutionOptions unfused = spec.options;
+    unfused.fusion = FusionMode::kOff;
+    ADAMANT_ASSIGN_OR_RETURN(
+        sql::PreparedQuery prepared,
+        sql::Prepare(spec.sql, *spec.sql_catalog, manager_, probe_device,
+                     unfused, planner_options));
+    spec.make_graph = prepared.GraphFactory();
+    probe = std::move(prepared.bundle.graph);
+  } else {
+    ADAMANT_ASSIGN_OR_RETURN(probe, spec.make_graph(probe_device));
+  }
   if (probe == nullptr) {
     return Status::InvalidArgument(spec.name + ": make_graph returned null");
   }

@@ -31,15 +31,16 @@ enum class QueryPriority { kNormal = 0, kHigh = 1 };
 /// anywhere in `eligible_devices` (empty = any plugged device).
 ///
 /// Instead of providing `make_graph`, a spec may carry SQL text: set `sql`
-/// (and `sql_catalog`) and Submit compiles the query once through the SQL
-/// frontend (sql/engine.h) and synthesizes `make_graph` from the compiled
-/// logical plan. Compile errors surface as the Submit error, with the usual
-/// line:col diagnostics.
+/// (and `sql_catalog`) and Submit prepares the query once through
+/// sql::Prepare (sql/prepare.h), unfused, and takes `make_graph` from
+/// PreparedQuery::GraphFactory. Compile errors surface as the Submit error,
+/// with the usual line:col diagnostics.
 struct QuerySpec {
   std::string name;
   std::function<Result<std::unique_ptr<PrimitiveGraph>>(DeviceId)> make_graph;
   /// SQL alternative to make_graph (exclusive with it). Requires
-  /// sql_catalog; must stay alive until Submit returns.
+  /// sql_catalog, which must outlive the query: its graphs are lowered
+  /// from it at run time.
   std::string sql;
   const Catalog* sql_catalog = nullptr;
   ExecutionOptions options;

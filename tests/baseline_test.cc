@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adamant/adamant.h"
+#include "test_util.h"
 
 namespace adamant {
 namespace {
@@ -50,21 +51,22 @@ TEST_F(BaselineTest, Q4AndQ6RunAtSf100Through140) {
   for (double sf : {100.0, 120.0, 140.0}) {
     SetUpManager(sf);
     baseline::HeavyDbExecutor heavy(manager_.get(), gpu_);
-    auto q4 = plan::BuildQ4(SharedCatalog(), {}, gpu_);
-    auto q6 = plan::BuildQ6(SharedCatalog(), {}, gpu_);
+    auto q4 = test::PrepareUnfused("4", SharedCatalog(), manager_.get(), gpu_);
+    auto q6 = test::PrepareUnfused("6", SharedCatalog(), manager_.get(), gpu_);
     ASSERT_TRUE(q4.ok() && q6.ok());
-    EXPECT_TRUE(heavy.Run(*q4->graph, {}).ok()) << "Q4 at SF " << sf;
-    EXPECT_TRUE(heavy.Run(*q6->graph, {}).ok()) << "Q6 at SF " << sf;
+    EXPECT_TRUE(heavy.Run(*q4->bundle.graph, {}).ok()) << "Q4 at SF " << sf;
+    EXPECT_TRUE(heavy.Run(*q6->bundle.graph, {}).ok()) << "Q6 at SF " << sf;
   }
 }
 
 TEST_F(BaselineTest, ColdStartPaysFullTableTransfer) {
   SetUpManager(100);
-  auto bundle = plan::BuildQ6(SharedCatalog(), {}, gpu_);
+  auto bundle =
+      test::PrepareUnfused("6", SharedCatalog(), manager_.get(), gpu_);
   ASSERT_TRUE(bundle.ok());
   baseline::HeavyDbExecutor heavy(manager_.get(), gpu_);
-  auto cold = heavy.Run(*bundle->graph, {/*with_transfer=*/true});
-  auto hot = heavy.Run(*bundle->graph, {/*with_transfer=*/false});
+  auto cold = heavy.Run(*bundle->bundle.graph, {/*with_transfer=*/true});
+  auto hot = heavy.Run(*bundle->bundle.graph, {/*with_transfer=*/false});
   ASSERT_TRUE(cold.ok() && hot.ok());
   EXPECT_GT(cold->transfer_us, 0);
   EXPECT_DOUBLE_EQ(hot->transfer_us, 0);
@@ -75,16 +77,17 @@ TEST_F(BaselineTest, ColdStartPaysFullTableTransfer) {
 
 TEST_F(BaselineTest, InPlaceComparableToAdamantChunked) {
   SetUpManager(100);
-  auto bundle = plan::BuildQ6(SharedCatalog(), {}, gpu_);
+  auto bundle =
+      test::PrepareUnfused("6", SharedCatalog(), manager_.get(), gpu_);
   ASSERT_TRUE(bundle.ok());
   baseline::HeavyDbExecutor heavy(manager_.get(), gpu_);
-  auto hot = heavy.Run(*bundle->graph, {/*with_transfer=*/false});
+  auto hot = heavy.Run(*bundle->bundle.graph, {/*with_transfer=*/false});
   ASSERT_TRUE(hot.ok());
 
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
   QueryExecutor executor(manager_.get());
-  auto chunked = executor.Run(bundle->graph.get(), options);
+  auto chunked = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
 
   const double ratio = chunked->stats.elapsed_us / hot->elapsed_us;
@@ -94,16 +97,17 @@ TEST_F(BaselineTest, InPlaceComparableToAdamantChunked) {
 
 TEST_F(BaselineTest, AdamantBeatsColdStart) {
   SetUpManager(100);
-  auto bundle = plan::BuildQ6(SharedCatalog(), {}, gpu_);
+  auto bundle =
+      test::PrepareUnfused("6", SharedCatalog(), manager_.get(), gpu_);
   ASSERT_TRUE(bundle.ok());
   baseline::HeavyDbExecutor heavy(manager_.get(), gpu_);
-  auto cold = heavy.Run(*bundle->graph, {/*with_transfer=*/true});
+  auto cold = heavy.Run(*bundle->bundle.graph, {/*with_transfer=*/true});
   ASSERT_TRUE(cold.ok());
 
   ExecutionOptions options;
   options.model = ExecutionModelKind::kFourPhaseChunked;
   QueryExecutor executor(manager_.get());
-  auto adamant = executor.Run(bundle->graph.get(), options);
+  auto adamant = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(adamant.ok());
   EXPECT_GT(cold->elapsed_us / adamant->stats.elapsed_us, 2.0)
       << "ADAMANT transfers only the chunks of needed columns";
@@ -111,14 +115,15 @@ TEST_F(BaselineTest, AdamantBeatsColdStart) {
 
 TEST_F(BaselineTest, ResidentBytesScaleWithSf) {
   SetUpManager(100);
-  auto bundle = plan::BuildQ6(SharedCatalog(), {}, gpu_);
+  auto bundle =
+      test::PrepareUnfused("6", SharedCatalog(), manager_.get(), gpu_);
   ASSERT_TRUE(bundle.ok());
   baseline::HeavyDbExecutor heavy(manager_.get(), gpu_);
-  auto at100 = heavy.Run(*bundle->graph, {});
+  auto at100 = heavy.Run(*bundle->bundle.graph, {});
   ASSERT_TRUE(at100.ok());
   SetUpManager(140);
   baseline::HeavyDbExecutor heavy140(manager_.get(), gpu_);
-  auto at140 = heavy140.Run(*bundle->graph, {});
+  auto at140 = heavy140.Run(*bundle->bundle.graph, {});
   ASSERT_TRUE(at140.ok());
   EXPECT_NEAR(static_cast<double>(at140->resident_bytes) /
                   static_cast<double>(at100->resident_bytes),

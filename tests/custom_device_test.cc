@@ -55,22 +55,15 @@ TEST(CustomDevice, PlugsInWithoutEngineChanges) {
     ExecutionOptions options;
     options.model = model;
     options.chunk_elems = 512;
+    options.fusion = FusionMode::kOff;
     QueryExecutor executor(&manager);
-
-    auto q6 = plan::BuildQ6(**catalog, {}, *npu);
-    ASSERT_TRUE(q6.ok());
-    auto exec6 = executor.Run(q6->graph.get(), options);
-    ASSERT_TRUE(exec6.ok()) << exec6.status().ToString();
-    EXPECT_EQ(*plan::ExtractQ6(*q6, *exec6),
-              *tpch::Q6Reference(**catalog, {}));
-
-    auto q3 = plan::BuildQ3(**catalog, {}, *npu);
-    ASSERT_TRUE(q3.ok());
-    auto exec3 = executor.Run(q3->graph.get(), options);
-    ASSERT_TRUE(exec3.ok());
-    auto got = plan::ExtractQ3(*q3, *exec3, **catalog, {});
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *tpch::Q3Reference(**catalog, {}));
+    for (const char* name : {"6", "3"}) {
+      auto query = sql::Prepare(name, **catalog, &manager, *npu, options);
+      ASSERT_TRUE(query.ok()) << query.status().ToString();
+      auto exec = executor.Run(query->bundle.graph.get(), options);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      EXPECT_TRUE(query->Verify(*exec).ok()) << "Q" << name;
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "adamant/adamant.h"
 #include "common/cancel.h"
+#include "test_util.h"
 #include "task/worker_pool.h"
 
 namespace adamant {
@@ -25,6 +26,7 @@ namespace {
 
 struct DeadlineFixture {
   std::shared_ptr<Catalog> catalog;
+  std::unique_ptr<test::ServeMix> mix;
 
   static const DeadlineFixture& Get() {
     static const DeadlineFixture* const kFixture = [] {
@@ -34,35 +36,24 @@ struct DeadlineFixture {
       auto catalog = tpch::Generate(config);
       ADAMANT_CHECK(catalog.ok()) << catalog.status().ToString();
       fixture->catalog = *catalog;
+      fixture->mix = std::make_unique<test::ServeMix>(**catalog);
       return fixture;
     }();
     return *kFixture;
   }
 };
 
-QuerySpec Q6Spec(const Catalog* catalog) {
-  QuerySpec spec;
-  spec.name = "Q6";
-  spec.make_graph =
-      [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ6(*catalog, {}, device));
-    return std::move(bundle.graph);
-  };
-  return spec;
-}
-
 /// Runs Q6 once on device 0 of `manager` and returns the revenue (or the
-/// run's error). A fresh bundle per run: graphs are single-use.
+/// run's error). A fresh graph per run: graphs are single-use.
 Result<int64_t> RunQ6Once(DeviceManager* manager,
                           const ExecutionOptions& options) {
-  const auto& fixture = DeadlineFixture::Get();
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           plan::BuildQ6(*fixture.catalog, {}, 0));
+  const sql::PreparedQuery& q6 = DeadlineFixture::Get().mix->query(2);
+  ADAMANT_ASSIGN_OR_RETURN(std::unique_ptr<PrimitiveGraph> graph,
+                           q6.GraphFactory()(0));
   QueryExecutor executor(manager);
   ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                           executor.Run(bundle.graph.get(), options));
-  return plan::ExtractQ6(bundle, exec);
+                           executor.Run(graph.get(), options));
+  return plan::ExtractQ6(q6.bundle, exec);
 }
 
 constexpr ExecutionModelKind kAllModels[] = {
@@ -171,6 +162,40 @@ TEST(ExecutorCancelTest, PreCancelledTokenUnwindsEveryModel) {
     auto rerun = RunQ6Once(&manager, clean);
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
     EXPECT_EQ(*rerun, *baseline);
+  }
+}
+
+TEST(ExecutorCancelTest, PreCancelledRunStillFinalizesOperatorStats) {
+  DeviceManager manager;
+  auto device = manager.AddDriver(sim::DriverKind::kCudaGpu, "gpu.0");
+  ASSERT_TRUE(device.ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+  const size_t nodes =
+      DeadlineFixture::Get().mix->query(2).bundle.graph->nodes().size();
+
+  for (ExecutionModelKind model : kAllModels) {
+    SCOPED_TRACE(ExecutionModelName(model));
+    CancelToken token;
+    token.Cancel(CancelCause::kUser, "cancelled before the run");
+    QueryStats sink;
+    ExecutionOptions options;
+    options.model = model;
+    options.chunk_elems = 2048;
+    options.cancel_token = &token;
+    options.collect_operator_stats = true;
+    options.stats_sink = &sink;
+    auto result = RunQ6Once(&manager, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+
+    // The run never started, yet its sink holds one empty entry per node.
+    const std::vector<obs::OperatorStats>& ops = sink.profile.operators;
+    ASSERT_EQ(ops.size(), nodes);
+    for (size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_EQ(ops[i].node_id, static_cast<int>(i));
+      EXPECT_EQ(ops[i].rows_in, 0u);
+      EXPECT_EQ(ops[i].launches, 0u);
+    }
   }
 }
 
@@ -455,7 +480,7 @@ TEST(ServiceDeadlineTest, AdmissionShedsUnmeetableDeadline) {
     config.workers = 1;
     QueryService service(&manager, config);
 
-    QuerySpec spec = Q6Spec(fixture.catalog.get());
+    QuerySpec spec = fixture.mix->Spec(2);
     // Far below the prediction floor (min_predicted_ms = 5): unmeetable.
     spec.deadline_ms = 0.01;
     auto ticket = service.Submit(std::move(spec));
@@ -485,7 +510,7 @@ TEST(ServiceDeadlineTest, GenerousDeadlineAdmitsAndRecordsSlack) {
   config.workers = 1;
   QueryService service(&manager, config);
 
-  QuerySpec spec = Q6Spec(fixture.catalog.get());
+  QuerySpec spec = fixture.mix->Spec(2);
   spec.deadline_ms = 60000.0;
   auto ticket = service.Submit(std::move(spec));
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
@@ -522,10 +547,10 @@ TEST(ServiceDeadlineTest, LapsedQueuedQueryIsEvicted) {
     config.workers = 1;
     QueryService service(&manager, config);
 
-    auto slow = service.Submit(Q6Spec(fixture.catalog.get()));
+    auto slow = service.Submit(fixture.mix->Spec(2));
     ASSERT_TRUE(slow.ok());
 
-    QuerySpec doomed = Q6Spec(fixture.catalog.get());
+    QuerySpec doomed = fixture.mix->Spec(2);
     doomed.deadline_ms = 20.0;  // lapses while queued behind the stalled run
     auto evicted = service.Submit(std::move(doomed));
     ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
@@ -567,7 +592,7 @@ TEST(ServiceDeadlineTest, MidRunDeadlineCancelsWithoutRetry) {
   config.retry.max_attempts = 5;
   QueryService service(&manager, config);
 
-  QuerySpec spec = Q6Spec(fixture.catalog.get());
+  QuerySpec spec = fixture.mix->Spec(2);
   spec.deadline_ms = 30.0;  // admitted (predicted ~5 ms), lapses in the stall
   auto ticket = service.Submit(std::move(spec));
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
@@ -604,7 +629,7 @@ TEST(ServiceDeadlineTest, ClientCancelMidRunIsFinalNoRetry) {
   QueryService service(&manager, config);
 
   CancelToken token;
-  QuerySpec spec = Q6Spec(fixture.catalog.get());
+  QuerySpec spec = fixture.mix->Spec(2);
   spec.options.cancel_token = &token;
   auto ticket = service.Submit(std::move(spec));
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
@@ -645,13 +670,13 @@ TEST(ServiceDeadlineTest, ClientCancelWhileQueuedEvicts) {
   QueryService service(&manager, config);
 
   // Pin the single worker behind a stalled run...
-  auto slow = service.Submit(Q6Spec(fixture.catalog.get()));
+  auto slow = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(slow.ok());
 
   // ...then queue a query whose client token is already dead.
   CancelToken token;
   token.Cancel(CancelCause::kUser, "cancelled while queued");
-  QuerySpec spec = Q6Spec(fixture.catalog.get());
+  QuerySpec spec = fixture.mix->Spec(2);
   spec.options.cancel_token = &token;
   auto queued = service.Submit(std::move(spec));
   ASSERT_TRUE(queued.ok()) << queued.status().ToString();
@@ -686,12 +711,7 @@ TEST(ServiceDeadlineTest, WatchdogCancelsStalledDeviceRetryMatchesBaseline) {
   auto clean_dev = clean.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(clean_dev.ok());
   ASSERT_TRUE(BindStandardKernels(clean.device(*clean_dev)).ok());
-  auto q6_bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(q6_bundle.ok());
-  QueryExecutor executor(&clean);
-  auto clean_exec = executor.Run(q6_bundle->graph.get(), {});
-  ASSERT_TRUE(clean_exec.ok());
-  auto baseline = plan::ExtractQ6(*q6_bundle, *clean_exec);
+  auto baseline = RunQ6Once(&clean, {});
   ASSERT_TRUE(baseline.ok());
 
   DeviceManager manager;
@@ -717,7 +737,7 @@ TEST(ServiceDeadlineTest, WatchdogCancelsStalledDeviceRetryMatchesBaseline) {
     config.health.probe_cooldown_ms = 60000.0;  // no probe during the test
     QueryService service(&manager, config);
 
-    QuerySpec spec = Q6Spec(fixture.catalog.get());
+    QuerySpec spec = fixture.mix->Spec(2);
     spec.deadline_ms = 60000.0;  // generous: the watchdog, not the deadline
     auto ticket = service.Submit(std::move(spec));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
@@ -727,7 +747,7 @@ TEST(ServiceDeadlineTest, WatchdogCancelsStalledDeviceRetryMatchesBaseline) {
     // Attempt 1 hung on gpu.0 and was cancelled; attempt 2 ran on gpu.1.
     EXPECT_EQ((*ticket)->attempts(), 2u);
     EXPECT_EQ((*ticket)->placed_device(), *healthy);
-    auto revenue = plan::ExtractQ6(*q6_bundle, *result);
+    auto revenue = plan::ExtractQ6(fixture.mix->query(2).bundle, *result);
     ASSERT_TRUE(revenue.ok());
     EXPECT_EQ(*revenue, *baseline);
     service.Drain();
@@ -768,12 +788,7 @@ TEST(ServiceDeadlineTest, SeededDeadlineSoakIsDeterministic) {
   auto clean_dev = clean.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(clean_dev.ok());
   ASSERT_TRUE(BindStandardKernels(clean.device(*clean_dev)).ok());
-  auto q6_bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(q6_bundle.ok());
-  QueryExecutor executor(&clean);
-  auto clean_exec = executor.Run(q6_bundle->graph.get(), {});
-  ASSERT_TRUE(clean_exec.ok());
-  auto baseline = plan::ExtractQ6(*q6_bundle, *clean_exec);
+  auto baseline = RunQ6Once(&clean, {});
   ASSERT_TRUE(baseline.ok());
 
   auto run_once = [&]() {
@@ -796,7 +811,7 @@ TEST(ServiceDeadlineTest, SeededDeadlineSoakIsDeterministic) {
     size_t matched = 0;
     size_t missed = 0;
     for (int i = 0; i < 12; ++i) {
-      QuerySpec spec = Q6Spec(fixture.catalog.get());
+      QuerySpec spec = fixture.mix->Spec(2);
       if (coin(rng) == 1) spec.deadline_ms = 25.0;
       auto ticket = service.Submit(std::move(spec));
       if (!ticket.ok()) {
@@ -809,7 +824,8 @@ TEST(ServiceDeadlineTest, SeededDeadlineSoakIsDeterministic) {
       }
       const Result<QueryExecution>& result = (*ticket)->Wait();
       if (result.ok()) {
-        auto revenue = plan::ExtractQ6(*q6_bundle, *result);
+        auto revenue =
+            plan::ExtractQ6(fixture.mix->query(2).bundle, *result);
         ADAMANT_CHECK(revenue.ok());
         EXPECT_EQ(*revenue, *baseline) << "query " << i;
         ++matched;

@@ -176,18 +176,15 @@ TEST(EdgeCases, TinyTpchScaleStillConsistent) {
   auto catalog = tpch::Generate(config);
   ASSERT_TRUE(catalog.ok());
   Rig rig;
-  auto bundle = plan::BuildQ6(**catalog, {}, rig.gpu);
-  ASSERT_TRUE(bundle.ok());
-  auto exec = rig.Run(bundle->graph.get(), 16);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  EXPECT_EQ(*plan::ExtractQ6(*bundle, *exec),
-            *tpch::Q6Reference(**catalog, {}));
-
-  auto q4 = plan::BuildQ4(**catalog, {}, rig.gpu);
-  ASSERT_TRUE(q4.ok());
-  auto exec4 = rig.Run(q4->graph.get(), 16);
-  ASSERT_TRUE(exec4.ok()) << exec4.status().ToString();
-  EXPECT_EQ(*plan::ExtractQ4(*q4, *exec4), *tpch::Q4Reference(**catalog, {}));
+  ExecutionOptions unfused;
+  unfused.fusion = FusionMode::kOff;
+  for (const char* name : {"6", "4"}) {
+    auto query = sql::Prepare(name, **catalog, &rig.manager, rig.gpu, unfused);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    auto exec = rig.Run(query->bundle.graph.get(), 16);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_TRUE(query->Verify(*exec).ok()) << "Q" << name;
+  }
 }
 
 TEST(EdgeCases, MinMaxAggregatesOverNegativeValues) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "adamant/adamant.h"
+#include "test_util.h"
 #include "runtime/exec/drivers.h"
 #include "runtime/exec/model_driver.h"
 #include "runtime/exec/run_context.h"
@@ -186,16 +187,16 @@ std::unique_ptr<DeviceManager> GpuManager(int count) {
 TEST(DeviceParallelTest, SingleDeviceSetDegeneratesToChunked) {
   const auto& fixture = DeviceParallelFixture::Get();
   auto manager = GpuManager(1);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", *fixture.catalog, manager.get(), 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
   options.device_set = {0};
   options.chunk_elems = 1024;
   QueryExecutor executor(manager.get());
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto revenue = plan::ExtractQ6(*bundle, *exec);
+  auto revenue = plan::ExtractQ6(bundle->bundle, *exec);
   ASSERT_TRUE(revenue.ok());
   auto want = tpch::Q6Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
@@ -205,7 +206,7 @@ TEST(DeviceParallelTest, SingleDeviceSetDegeneratesToChunked) {
 TEST(DeviceParallelTest, MoreDevicesThanChunksLeavesIdleDevices) {
   const auto& fixture = DeviceParallelFixture::Get();
   auto manager = GpuManager(4);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", *fixture.catalog, manager.get(), 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
@@ -214,9 +215,9 @@ TEST(DeviceParallelTest, MoreDevicesThanChunksLeavesIdleDevices) {
   // run zero chunks and must not corrupt the merged result.
   options.chunk_elems = 1u << 25;
   QueryExecutor executor(manager.get());
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto revenue = plan::ExtractQ6(*bundle, *exec);
+  auto revenue = plan::ExtractQ6(bundle->bundle, *exec);
   ASSERT_TRUE(revenue.ok());
   auto want = tpch::Q6Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
@@ -227,13 +228,13 @@ TEST(DeviceParallelTest, MoreDevicesThanChunksLeavesIdleDevices) {
 TEST(DeviceParallelTest, EmptyDeviceSetUsesAllPluggedDevices) {
   const auto& fixture = DeviceParallelFixture::Get();
   auto manager = GpuManager(2);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", *fixture.catalog, manager.get(), 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
   options.chunk_elems = 1024;
   QueryExecutor executor(manager.get());
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   EXPECT_EQ(exec->stats.chunks_by_device.size(), 2u);
 }
@@ -241,13 +242,13 @@ TEST(DeviceParallelTest, EmptyDeviceSetUsesAllPluggedDevices) {
 TEST(DeviceParallelTest, UnpluggedDeviceIdRejected) {
   const auto& fixture = DeviceParallelFixture::Get();
   auto manager = GpuManager(1);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", *fixture.catalog, manager.get(), 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
   options.device_set = {0, 7};
   QueryExecutor executor(manager.get());
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   EXPECT_FALSE(exec.ok());
 }
 
@@ -271,20 +272,20 @@ TEST(DeviceParallelTest, GlobalBreakersRejected) {
 TEST(DeviceParallelTest, StatsAccumulateAcrossPartitions) {
   const auto& fixture = DeviceParallelFixture::Get();
   auto manager = GpuManager(2);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", *fixture.catalog, manager.get(), 0);
   ASSERT_TRUE(bundle.ok());
 
   ExecutionOptions chunked;
   chunked.model = ExecutionModelKind::kChunked;
   chunked.chunk_elems = 1024;
   QueryExecutor executor(manager.get());
-  auto base = executor.Run(bundle->graph.get(), chunked);
+  auto base = executor.Run(bundle->bundle.graph.get(), chunked);
   ASSERT_TRUE(base.ok());
 
   ExecutionOptions parallel = chunked;
   parallel.model = ExecutionModelKind::kDeviceParallel;
   parallel.device_set = {0, 1};
-  auto split = executor.Run(bundle->graph.get(), parallel);
+  auto split = executor.Run(bundle->bundle.graph.get(), parallel);
   ASSERT_TRUE(split.ok()) << split.status().ToString();
 
   // Same scan volume moves host-to-device regardless of which device runs

@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "adamant/adamant.h"
+#include "test_util.h"
 
 namespace adamant {
 namespace {
 
 struct FaultFixture {
   std::shared_ptr<Catalog> catalog;
+  std::unique_ptr<test::ServeMix> mix;
 
   static const FaultFixture& Get() {
     static const FaultFixture* const kFixture = [] {
@@ -29,41 +31,12 @@ struct FaultFixture {
       auto catalog = tpch::Generate(config);
       ADAMANT_CHECK(catalog.ok()) << catalog.status().ToString();
       fixture->catalog = *catalog;
+      fixture->mix = std::make_unique<test::ServeMix>(**catalog);
       return fixture;
     }();
     return *kFixture;
   }
 };
-
-QuerySpec SpecFor(const Catalog* catalog, int kind) {
-  QuerySpec spec;
-  if (kind == 0) {
-    spec.name = "Q3";
-    spec.make_graph =
-        [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ3(*catalog, {}, device));
-      return std::move(bundle.graph);
-    };
-  } else if (kind == 1) {
-    spec.name = "Q4";
-    spec.make_graph =
-        [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ4(*catalog, {}, device));
-      return std::move(bundle.graph);
-    };
-  } else {
-    spec.name = "Q6";
-    spec.make_graph =
-        [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ6(*catalog, {}, device));
-      return std::move(bundle.graph);
-    };
-  }
-  return spec;
-}
 
 // --- Status classification -------------------------------------------------
 
@@ -188,12 +161,12 @@ TEST(ExecutorFaultTest, UnwindDrainsLedgerToZero) {
   ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
 
   MemoryLedger ledger(&manager, 0);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
+  auto graph = fixture.mix->query(2).GraphFactory()(0);
+  ASSERT_TRUE(graph.ok());
   ExecutionOptions options;
   options.memory_listener = &ledger;
   QueryExecutor executor(&manager);
-  auto result = executor.Run(bundle->graph.get(), options);
+  auto result = executor.Run(graph->get(), options);
 
   // The injected failure surfaced typed and device-tagged...
   ASSERT_FALSE(result.ok());
@@ -276,7 +249,7 @@ TEST(ServiceFaultTest, SubmitAfterStopIsUnavailable) {
 
   QueryService service(&manager, {});
   service.Stop();
-  auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto ticket = service.Submit(fixture.mix->Spec(2));
   ASSERT_FALSE(ticket.ok());
   EXPECT_TRUE(ticket.status().IsUnavailable()) << ticket.status().ToString();
   EXPECT_TRUE(ticket.status().IsTransient());
@@ -298,7 +271,7 @@ TEST(ServiceFaultTest, TransientFaultRetriesOnSameOnlyDevice) {
   config.workers = 1;
   QueryService service(&manager, config);
 
-  auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto ticket = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   const Result<QueryExecution>& result = (*ticket)->Wait();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -329,7 +302,7 @@ TEST(ServiceFaultTest, PermanentErrorFailsWithoutRetry) {
   ServiceConfig config;
   config.workers = 1;
   QueryService service(&manager, config);
-  auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto ticket = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(ticket.ok());
   const Result<QueryExecution>& result = (*ticket)->Wait();
   ASSERT_FALSE(result.ok());
@@ -367,7 +340,7 @@ TEST(ServiceFaultTest, StickyDeviceQuarantinedSurvivorsComplete) {
 
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 8; ++i) {
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), i % 3));
+    auto ticket = service.Submit(fixture.mix->Spec(i % 3));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     tickets.push_back(*ticket);
   }
@@ -408,7 +381,7 @@ TEST(ServiceFaultTest, ProbeReadmitsRecoveredDevice) {
   config.health.probe_cooldown_ms = 5.0;
   QueryService service(&manager, config);
 
-  auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto ticket = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(ticket.ok());
   // Wait for the quarantine, then "reset the driver": the next probe finds
   // a healthy device and re-admits it.
@@ -439,19 +412,12 @@ TEST(ServiceFaultTest, SeededSoakMatchesFaultFreeBaseline) {
   auto baseline_dev = clean.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(baseline_dev.ok());
   ASSERT_TRUE(BindStandardKernels(clean.device(*baseline_dev)).ok());
-  QueryExecutor executor(&clean);
-  auto q3_bundle = plan::BuildQ3(*fixture.catalog, {}, 0);
-  auto q4_bundle = plan::BuildQ4(*fixture.catalog, {}, 0);
-  auto q6_bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(q3_bundle.ok() && q4_bundle.ok() && q6_bundle.ok());
-  auto q3_exec = executor.Run(q3_bundle->graph.get(), {});
-  auto q4_exec = executor.Run(q4_bundle->graph.get(), {});
-  auto q6_exec = executor.Run(q6_bundle->graph.get(), {});
-  ASSERT_TRUE(q3_exec.ok() && q4_exec.ok() && q6_exec.ok());
-  auto q3_ref = plan::ExtractQ3(*q3_bundle, *q3_exec, *fixture.catalog, {});
-  auto q4_ref = plan::ExtractQ4(*q4_bundle, *q4_exec);
-  auto q6_ref = plan::ExtractQ6(*q6_bundle, *q6_exec);
-  ASSERT_TRUE(q3_ref.ok() && q4_ref.ok() && q6_ref.ok());
+  std::vector<sql::SqlResultSet> refs;
+  for (int kind = 0; kind < 3; ++kind) {
+    auto rows = fixture.mix->RunSerial(kind, &clean);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    refs.push_back(std::move(*rows));
+  }
 
   // Two devices, each with ~10% per-attempt transient fault rate spread
   // over the ~15 fault-prone interface calls a query makes.
@@ -475,7 +441,7 @@ TEST(ServiceFaultTest, SeededSoakMatchesFaultFreeBaseline) {
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 200; ++i) {
     const int kind = pick(rng);
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), kind));
+    auto ticket = service.Submit(fixture.mix->Spec(kind));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     kinds.push_back(kind);
     tickets.push_back(*ticket);
@@ -484,19 +450,10 @@ TEST(ServiceFaultTest, SeededSoakMatchesFaultFreeBaseline) {
   for (size_t i = 0; i < tickets.size(); ++i) {
     const Result<QueryExecution>& result = tickets[i]->Wait();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (kinds[i] == 0) {
-      auto rows = plan::ExtractQ3(*q3_bundle, *result, *fixture.catalog, {});
-      ASSERT_TRUE(rows.ok());
-      EXPECT_EQ(*rows, *q3_ref) << "query " << i;
-    } else if (kinds[i] == 1) {
-      auto rows = plan::ExtractQ4(*q4_bundle, *result);
-      ASSERT_TRUE(rows.ok());
-      EXPECT_EQ(*rows, *q4_ref) << "query " << i;
-    } else {
-      auto revenue = plan::ExtractQ6(*q6_bundle, *result);
-      ASSERT_TRUE(revenue.ok());
-      EXPECT_EQ(*revenue, *q6_ref) << "query " << i;
-    }
+    auto rows = fixture.mix->query(kinds[i]).Results(*result);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->rows, refs[static_cast<size_t>(kinds[i])].rows)
+        << "query " << i;
   }
   service.Drain();  // must terminate: no retry loop may hang the queue
 
@@ -528,7 +485,7 @@ TEST(ServiceFaultTest, SameSeedSameCountersSequential) {
     std::mt19937 rng(7);
     std::uniform_int_distribution<int> pick(0, 2);
     for (int i = 0; i < 40; ++i) {
-      auto ticket = service.Submit(SpecFor(fixture.catalog.get(), pick(rng)));
+      auto ticket = service.Submit(fixture.mix->Spec(pick(rng)));
       ADAMANT_CHECK(ticket.ok());
       (*ticket)->Wait();
     }
@@ -568,7 +525,7 @@ TEST(FaultObservabilityTest, InjectedFailureEmitsTraceEventAndMetric) {
     ServiceConfig config;
     config.workers = 1;
     QueryService service(&manager, config);
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+    auto ticket = service.Submit(fixture.mix->Spec(2));
     ASSERT_TRUE(ticket.ok());
     ASSERT_TRUE((*ticket)->Wait().ok());  // retried past the injected fault
     service.Drain();

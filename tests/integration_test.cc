@@ -41,11 +41,20 @@ class QueryMatrixTest
     ASSERT_TRUE(BindStandardKernels(manager_->device(device_)).ok());
     options_.model = std::get<1>(GetParam());
     options_.chunk_elems = 512;  // many chunks even on the tiny test scale
+    options_.fusion = FusionMode::kOff;
   }
 
-  Result<QueryExecution> Execute(PrimitiveGraph* graph) {
+  // Prepares registry query `name` and checks its run under this
+  // parameter's driver and model against the query's tpch reference.
+  void ExpectMatchesReference(const std::string& name) {
+    auto prepared = sql::Prepare(name, *TpchFixture::Get().catalog,
+                                 manager_.get(), device_, options_);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
     QueryExecutor executor(manager_.get());
-    return executor.Run(graph, options_);
+    auto exec = executor.Run(prepared->bundle.graph.get(), options_);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    const Status verdict = prepared->Verify(*exec);
+    EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   }
 
   std::unique_ptr<DeviceManager> manager_;
@@ -53,117 +62,14 @@ class QueryMatrixTest
   ExecutionOptions options_;
 };
 
-TEST_P(QueryMatrixTest, Q6MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q6Params params;
-  auto bundle = plan::BuildQ6(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ6(*bundle, *exec);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q6Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q4MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q4Params params;
-  auto bundle = plan::BuildQ4(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ4(*bundle, *exec);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q4Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q3MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q3Params params;
-  auto bundle = plan::BuildQ3(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ3(*bundle, *exec, catalog, params);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q3Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q1MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q1Params params;
-  auto bundle = plan::BuildQ1(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ1(*bundle, *exec);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q1Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q5MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q5Params params;
-  auto bundle = plan::BuildQ5(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ5(*bundle, *exec, catalog);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q5Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q10MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q10Params params;
-  auto bundle = plan::BuildQ10(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ10(*bundle, *exec, params);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q10Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q12MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q12Params params;
-  auto bundle = plan::BuildQ12(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ12(*bundle, *exec);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q12Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
-
-TEST_P(QueryMatrixTest, Q14MatchesReference) {
-  const auto& catalog = *TpchFixture::Get().catalog;
-  tpch::Q14Params params;
-  auto bundle = plan::BuildQ14(catalog, params, device_);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = Execute(bundle->graph.get());
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = plan::ExtractQ14(*bundle, *exec);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = tpch::Q14Reference(catalog, params);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*got, *want);
-}
+TEST_P(QueryMatrixTest, Q6MatchesReference) { ExpectMatchesReference("6"); }
+TEST_P(QueryMatrixTest, Q4MatchesReference) { ExpectMatchesReference("4"); }
+TEST_P(QueryMatrixTest, Q3MatchesReference) { ExpectMatchesReference("3"); }
+TEST_P(QueryMatrixTest, Q1MatchesReference) { ExpectMatchesReference("1"); }
+TEST_P(QueryMatrixTest, Q5MatchesReference) { ExpectMatchesReference("5"); }
+TEST_P(QueryMatrixTest, Q10MatchesReference) { ExpectMatchesReference("10"); }
+TEST_P(QueryMatrixTest, Q12MatchesReference) { ExpectMatchesReference("12"); }
+TEST_P(QueryMatrixTest, Q14MatchesReference) { ExpectMatchesReference("14"); }
 
 INSTANTIATE_TEST_SUITE_P(
     AllDriversAllModels, QueryMatrixTest,

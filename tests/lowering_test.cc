@@ -1,7 +1,6 @@
 // Tests for the logical plan layer and the lowering pass: structural
-// properties of lowered graphs, error handling, and full equivalence of the
-// lowered TPC-H plans with the scalar references (and with the hand-built
-// primitive graphs).
+// properties of lowered graphs, error handling, and the what-if placement
+// search. End-to-end TPC-H equivalence lives in registry_test.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include "adamant/adamant.h"
 #include "plan/lowering.h"
 #include "plan/placement_optimizer.h"
-#include "plan/tpch_logical.h"
 
 namespace adamant::plan {
 namespace {
@@ -299,11 +297,12 @@ TEST(PlacementSearch, FindsFastestCandidateAndAllAgree) {
   ASSERT_TRUE(BindStandardKernels(manager.device(*cpu)).ok());
   manager.SetDataScale(30.0 / 0.002);  // make placement matter
 
-  auto logical = Q6Logical(**catalog, {});
-  ASSERT_TRUE(logical.ok());
+  auto q6 = sql::Compile(sql::FindBuiltinQuery("q6")->sql, **catalog);
+  ASSERT_TRUE(q6.ok());
+  const LogicalNode& logical = *q6->plan;
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
-  auto search = SearchPlacements(**logical, **catalog, &manager, options);
+  auto search = SearchPlacements(logical, **catalog, &manager, options);
   ASSERT_TRUE(search.ok()) << search.status().ToString();
   // Two devices, three classes: 8 grid candidates, plus the heterogeneous
   // cost-ratio split across the unlike pair.
@@ -320,7 +319,7 @@ TEST(PlacementSearch, FindsFastestCandidateAndAllAgree) {
 
   // The winning policy produces the reference answer (placement never
   // changes results).
-  auto bundle = LowerPlan(**logical, **catalog, search->best);
+  auto bundle = LowerPlan(logical, **catalog, search->best);
   ASSERT_TRUE(bundle.ok());
   QueryExecutor executor(&manager);
   auto exec = executor.Run(bundle->graph.get(), options);
@@ -348,98 +347,6 @@ TEST(PlacementSearch, NoDevicesRejected) {
   EXPECT_TRUE(SearchPlacements(*root, *catalog, &empty, {})
                   .status()
                   .IsInvalidArgument());
-}
-
-// --- TPC-H equivalence: lowered logical plans match the references ---
-
-class LoweredTpchTest : public ::testing::Test {
- protected:
-  static const Catalog& SharedCatalog() {
-    static const Catalog* const kCatalog = [] {
-      tpch::TpchConfig config;
-      config.scale_factor = 0.002;
-      config.include_dimension_tables = false;
-      auto catalog = tpch::Generate(config);
-      ADAMANT_CHECK(catalog.ok());
-      return new Catalog(**catalog);
-    }();
-    return *kCatalog;
-  }
-};
-
-TEST_F(LoweredTpchTest, Q6Equivalent) {
-  Rig rig;
-  auto logical = Q6Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kChunked, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  EXPECT_EQ(*exec->AggValue(bundle->nodes.at("revenue")),
-            *tpch::Q6Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, Q4Equivalent) {
-  Rig rig;
-  auto logical = Q4Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kFourPhasePipelined, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = ExtractQ4(*bundle, *exec);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *tpch::Q4Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, Q3Equivalent) {
-  Rig rig;
-  auto logical = Q3Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kChunked, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = ExtractQ3(*bundle, *exec, SharedCatalog(), {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *tpch::Q3Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, Q1Equivalent) {
-  Rig rig;
-  auto logical = Q1Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kChunked, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = ExtractQ1(*bundle, *exec);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *tpch::Q1Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, LoweredMatchesHandBuiltAcrossModels) {
-  // The lowered and hand-built Q3 plans must agree on every execution model
-  // (they differ structurally, e.g. in estimate margins, but not in
-  // results).
-  Rig rig;
-  for (auto model :
-       {ExecutionModelKind::kOperatorAtATime, ExecutionModelKind::kChunked,
-        ExecutionModelKind::kFourPhasePipelined}) {
-    auto logical = Q3Logical(SharedCatalog(), {});
-    ASSERT_TRUE(logical.ok());
-    auto lowered = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-    ASSERT_TRUE(lowered.ok());
-    auto hand = BuildQ3(SharedCatalog(), {}, rig.gpu);
-    ASSERT_TRUE(hand.ok());
-    auto exec_lowered = rig.Run(&*lowered, model, 512);
-    auto exec_hand = rig.Run(&*hand, model, 512);
-    ASSERT_TRUE(exec_lowered.ok() && exec_hand.ok());
-    auto a = ExtractQ3(*lowered, *exec_lowered, SharedCatalog(), {});
-    auto b = ExtractQ3(*hand, *exec_hand, SharedCatalog(), {});
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << ExecutionModelName(model);
-  }
 }
 
 }  // namespace

@@ -38,20 +38,15 @@ double RunQuery(int q, sim::DriverKind kind, ExecutionModelKind model,
   auto gpu = manager.AddDriver(kind);
   EXPECT_TRUE(gpu.ok());
   EXPECT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
-  plan::PlanBundle bundle = [&] {
-    switch (q) {
-      case 3:
-        return std::move(*plan::BuildQ3(catalog, {}, *gpu));
-      case 4:
-        return std::move(*plan::BuildQ4(catalog, {}, *gpu));
-      default:
-        return std::move(*plan::BuildQ6(catalog, {}, *gpu));
-    }
-  }();
   ExecutionOptions options;
   options.model = model;
+  options.fusion = FusionMode::kOff;
+  auto query = sql::Prepare(std::to_string(q), catalog, &manager, *gpu,
+                            options);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  if (!query.ok()) return 0.0;
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle.graph.get(), options);
+  auto exec = executor.Run(query->bundle.graph.get(), options);
   EXPECT_TRUE(exec.ok()) << exec.status().ToString();
   return exec.ok() ? exec->stats.elapsed_us : 0.0;
 }
@@ -121,12 +116,13 @@ TEST(Fig10Shapes, OpenClOverheadLargest) {
     auto device = manager.AddDriver(kind);
     EXPECT_TRUE(device.ok());
     EXPECT_TRUE(BindStandardKernels(manager.device(*device)).ok());
-    auto bundle = plan::BuildQ6(catalog, {}, *device);
-    EXPECT_TRUE(bundle.ok());
     ExecutionOptions options;
     options.model = ExecutionModelKind::kOperatorAtATime;
+    options.fusion = FusionMode::kOff;
+    auto q6 = sql::Prepare("6", catalog, &manager, *device, options);
+    EXPECT_TRUE(q6.ok());
     QueryExecutor executor(&manager);
-    auto exec = executor.Run(bundle->graph.get(), options);
+    auto exec = executor.Run(q6->bundle.graph.get(), options);
     EXPECT_TRUE(exec.ok());
     // Overhead beyond kernel bodies and wire time: launches, mapping,
     // allocation, framework calls.
@@ -173,16 +169,18 @@ TEST(Fig7Shapes, OaatMemoryWall) {
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(gpu.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
-  auto bundle = plan::BuildQ6(catalog, {}, *gpu);
-  ASSERT_TRUE(bundle.ok());
-  QueryExecutor executor(&manager);
   ExecutionOptions oaat;
   oaat.model = ExecutionModelKind::kOperatorAtATime;
-  EXPECT_TRUE(executor.Run(bundle->graph.get(), oaat).status().IsOutOfMemory())
+  oaat.fusion = FusionMode::kOff;
+  auto q6 = sql::Prepare("6", catalog, &manager, *gpu, oaat);
+  ASSERT_TRUE(q6.ok());
+  QueryExecutor executor(&manager);
+  EXPECT_TRUE(
+      executor.Run(q6->bundle.graph.get(), oaat).status().IsOutOfMemory())
       << "Q6 at SF 100 needs ~12 GiB of columns alone";
   ExecutionOptions chunked;
   chunked.model = ExecutionModelKind::kChunked;
-  EXPECT_TRUE(executor.Run(bundle->graph.get(), chunked).ok());
+  EXPECT_TRUE(executor.Run(q6->bundle.graph.get(), chunked).ok());
 }
 
 // Setup 2 (A100 + PCIe 4) runs the same query faster than Setup 1.
@@ -194,12 +192,13 @@ TEST(TableIIShapes, Setup2Faster) {
     auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
     EXPECT_TRUE(gpu.ok());
     EXPECT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
-    auto bundle = plan::BuildQ6(catalog, {}, *gpu);
-    EXPECT_TRUE(bundle.ok());
     ExecutionOptions options;
     options.model = ExecutionModelKind::kFourPhaseChunked;
+    options.fusion = FusionMode::kOff;
+    auto q6 = sql::Prepare("6", catalog, &manager, *gpu, options);
+    EXPECT_TRUE(q6.ok());
     QueryExecutor executor(&manager);
-    auto exec = executor.Run(bundle->graph.get(), options);
+    auto exec = executor.Run(q6->bundle.graph.get(), options);
     EXPECT_TRUE(exec.ok());
     return exec->stats.elapsed_us;
   };

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "adamant/adamant.h"
+#include "test_util.h"
 
 namespace adamant {
 namespace {
@@ -160,17 +161,13 @@ TEST(HistogramTest, ServiceStatsPercentilesComeFromHistograms) {
   service_config.workers = 2;
   QueryService service(&manager, service_config);
 
-  const Catalog* cat = catalog->get();
+  auto q6 = test::PrepareUnfused("6", **catalog, &manager);
+  ASSERT_TRUE(q6.ok());
   std::vector<double> run_ms;
   for (int i = 0; i < 8; ++i) {
     QuerySpec spec;
     spec.name = "Q6";
-    spec.make_graph =
-        [cat](DeviceId dev) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ6(*cat, {}, dev));
-      return std::move(bundle.graph);
-    };
+    spec.make_graph = q6->GraphFactory();
     auto ticket = service.Submit(std::move(spec));
     ASSERT_TRUE(ticket.ok());
     ASSERT_TRUE((*ticket)->Wait().ok());
@@ -268,14 +265,14 @@ TEST(TraceValidationTest, DeviceParallelTracedRunIsValid) {
   recorder.SetTrackName(0, "gpu.0");
   recorder.SetTrackName(1, "gpu.1");
 
-  auto bundle = plan::BuildQ6(**catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", **catalog, &manager, 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
   options.device_set = {0, 1};
   options.chunk_elems = 4096;  // several chunks per device
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
   const std::string json = recorder.ExportChromeJson();
@@ -419,10 +416,10 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
 
   // Direct run without opting in: no profile.
   {
-    auto bundle = plan::BuildQ6(**catalog, {}, 0);
+    auto bundle = test::PrepareUnfused("6", **catalog, &manager, 0);
     ASSERT_TRUE(bundle.ok());
     QueryExecutor executor(&manager);
-    auto exec = executor.Run(bundle->graph.get(), {});
+    auto exec = executor.Run(bundle->bundle.graph.get(), {});
     ASSERT_TRUE(exec.ok());
     EXPECT_FALSE(exec->stats.profile.collected);
   }
@@ -431,15 +428,11 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
   ServiceConfig service_config;
   service_config.workers = 1;
   QueryService service(&manager, service_config);
-  const Catalog* cat = catalog->get();
+  auto q6 = test::PrepareUnfused("6", **catalog, &manager);
+  ASSERT_TRUE(q6.ok());
   QuerySpec spec;
   spec.name = "Q6";
-  spec.make_graph =
-      [cat](DeviceId dev) -> Result<std::unique_ptr<PrimitiveGraph>> {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ6(*cat, {}, dev));
-    return std::move(bundle.graph);
-  };
+  spec.make_graph = q6->GraphFactory();
   auto ticket = service.Submit(std::move(spec));
   ASSERT_TRUE(ticket.ok());
   const Result<QueryExecution>& result = (*ticket)->Wait();
@@ -538,18 +531,18 @@ TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceProfile) {
   ASSERT_TRUE(device.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
 
-  auto bundle = plan::BuildQ6(**catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", **catalog, &manager, 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.fusion = FusionMode::kOn;
   options.collect_profile = true;
   options.collect_operator_stats = true;
-  auto fusion = plan::ApplyFusion(&*bundle, options, &manager);
+  auto fusion = plan::ApplyFusion(&bundle->bundle, options, &manager);
   ASSERT_TRUE(fusion.ok());
   ASSERT_GT(fusion->groups, 0);
 
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
   // Satellite: the fused launch count and body-time share surface in the
@@ -642,7 +635,7 @@ TEST(MetricsTest, SplitRatioGaugeAndStealCounterExposed) {
   const double stolen_before = obs::GlobalMetrics()
                                    .GetCounter("adamant_chunks_stolen_total")
                                    ->Value();
-  auto bundle = plan::BuildQ6(**catalog, {}, 0);
+  auto bundle = test::PrepareUnfused("6", **catalog, &manager, 0);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kDeviceParallel;
@@ -650,7 +643,7 @@ TEST(MetricsTest, SplitRatioGaugeAndStealCounterExposed) {
   options.device_split = {0.1, 0.9};  // mis-set: device 0 must steal
   options.chunk_elems = 1024;         // many chunks → guaranteed stealing
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
   const std::string text = obs::GlobalMetrics().ToPrometheusText();

@@ -20,18 +20,6 @@
 namespace adamant {
 namespace {
 
-// CI's sanitizer job reruns this whole binary with ADAMANT_FUSION=on: every
-// matrix test then executes fused plans under ASan/UBSan, re-checking the
-// same bit-identity invariants. Bundle node ids are remapped in place, so
-// result extraction keeps working on the fused graph.
-Status ApplyEnvFusion(plan::PlanBundle* bundle) {
-  const char* env = std::getenv("ADAMANT_FUSION");
-  if (env == nullptr || std::string(env) != "on") return Status::OK();
-  ExecutionOptions options;
-  options.fusion = FusionMode::kOn;
-  return plan::ApplyFusion(bundle, options).status();
-}
-
 struct MatrixFixture {
   std::shared_ptr<Catalog> catalog;
 
@@ -88,6 +76,28 @@ ExecutionOptions OptionsFor(
   return options;
 }
 
+// The matrix runs registry queries 3, 4 and 6 (hand-built Q3, SQL Q4/Q6).
+const char* const kQueries[] = {"3", "4", "6"};
+
+// CI's sanitizer job reruns this whole binary with ADAMANT_FUSION=on: every
+// matrix test then executes fused plans under ASan/UBSan, re-checking the
+// same bit-identity invariants.
+FusionMode EnvFusion() {
+  const char* env = std::getenv("ADAMANT_FUSION");
+  return env != nullptr && std::string(env) == "on" ? FusionMode::kOn
+                                                    : FusionMode::kOff;
+}
+
+// Registry query `name` prepared on device 0 of `manager`.
+Result<sql::PreparedQuery> PrepareMatrix(const std::string& name,
+                                         DeviceManager* manager,
+                                         FusionMode fusion = EnvFusion()) {
+  ExecutionOptions options;
+  options.fusion = fusion;
+  return sql::Prepare(name, *MatrixFixture::Get().catalog, manager, 0,
+                      options);
+}
+
 Result<QueryExecution> RunModel(DeviceManager* manager,
                                 const plan::PlanBundle& bundle,
                                 ExecutionModelKind model) {
@@ -95,68 +105,38 @@ Result<QueryExecution> RunModel(DeviceManager* manager,
   return executor.Run(bundle.graph.get(), OptionsFor(model));
 }
 
-TEST(ParityMatrixTest, Q6AllModelsBitIdentical) {
-  const auto& fixture = MatrixFixture::Get();
+void ExpectAllModelsBitIdentical(const std::string& name) {
   auto manager = TwoGpuManager();
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
-  auto want = tpch::Q6Reference(*fixture.catalog, {});
-  ASSERT_TRUE(want.ok());
+  auto query = PrepareMatrix(name, manager.get());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
   for (ExecutionModelKind model : kAllModels) {
-    auto exec = RunModel(manager.get(), *bundle, model);
+    auto exec = RunModel(manager.get(), query->bundle, model);
     ASSERT_TRUE(exec.ok()) << ExecutionModelName(model) << ": "
                            << exec.status().ToString();
-    auto revenue = plan::ExtractQ6(*bundle, *exec);
-    ASSERT_TRUE(revenue.ok()) << ExecutionModelName(model);
-    EXPECT_EQ(*revenue, *want) << ExecutionModelName(model);
+    const Status verdict = query->Verify(*exec);
+    EXPECT_TRUE(verdict.ok()) << ExecutionModelName(model) << ": "
+                              << verdict.ToString();
   }
+}
+
+TEST(ParityMatrixTest, Q6AllModelsBitIdentical) {
+  ExpectAllModelsBitIdentical("6");
 }
 
 TEST(ParityMatrixTest, Q3AllModelsBitIdentical) {
-  const auto& fixture = MatrixFixture::Get();
-  auto manager = TwoGpuManager();
-  auto bundle = plan::BuildQ3(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
-  auto want = tpch::Q3Reference(*fixture.catalog, {});
-  ASSERT_TRUE(want.ok());
-  for (ExecutionModelKind model : kAllModels) {
-    auto exec = RunModel(manager.get(), *bundle, model);
-    ASSERT_TRUE(exec.ok()) << ExecutionModelName(model) << ": "
-                           << exec.status().ToString();
-    auto rows = plan::ExtractQ3(*bundle, *exec, *fixture.catalog, {});
-    ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
-    EXPECT_EQ(*rows, *want) << ExecutionModelName(model);
-  }
+  ExpectAllModelsBitIdentical("3");
 }
 
 TEST(ParityMatrixTest, Q4AllModelsBitIdentical) {
-  const auto& fixture = MatrixFixture::Get();
-  auto manager = TwoGpuManager();
-  auto bundle = plan::BuildQ4(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
-  auto want = tpch::Q4Reference(*fixture.catalog, {});
-  ASSERT_TRUE(want.ok());
-  for (ExecutionModelKind model : kAllModels) {
-    auto exec = RunModel(manager.get(), *bundle, model);
-    ASSERT_TRUE(exec.ok()) << ExecutionModelName(model) << ": "
-                           << exec.status().ToString();
-    auto rows = plan::ExtractQ4(*bundle, *exec);
-    ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
-    EXPECT_EQ(*rows, *want) << ExecutionModelName(model);
-  }
+  ExpectAllModelsBitIdentical("4");
 }
 
 TEST(ParityMatrixTest, DeviceParallelSplitsAcrossBothDevices) {
-  const auto& fixture = MatrixFixture::Get();
   auto manager = TwoGpuManager();
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
+  auto q6 = PrepareMatrix("6", manager.get());
+  ASSERT_TRUE(q6.ok());
   auto exec =
-      RunModel(manager.get(), *bundle, ExecutionModelKind::kDeviceParallel);
+      RunModel(manager.get(), q6->bundle, ExecutionModelKind::kDeviceParallel);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_EQ(exec->stats.chunks_by_device.size(), 2u);
   size_t split = 0;
@@ -174,63 +154,23 @@ TEST(ParityMatrixTest, DeviceParallelSplitsAcrossBothDevices) {
 // (The fixture devices are scalar-native GPUs, so this genuinely flips the
 // executed Task-layer implementation rather than re-running the default.)
 TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
-  const auto& fixture = MatrixFixture::Get();
-  struct Case {
-    const char* name;
-    std::function<Result<plan::PlanBundle>(DeviceId)> build;
-    std::function<void(const plan::PlanBundle&, const QueryExecution&,
-                       ExecutionModelKind)>
-        check;
-  };
-  const Catalog& catalog = *fixture.catalog;
-  const Case kCases[] = {
-      {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           ExecutionModelKind model) {
-         auto want = tpch::Q3Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto rows = plan::ExtractQ3(bundle, exec, catalog, {});
-         ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
-         EXPECT_EQ(*rows, *want) << "Q3/" << ExecutionModelName(model);
-       }},
-      {"Q4", [&](DeviceId d) { return plan::BuildQ4(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           ExecutionModelKind model) {
-         auto want = tpch::Q4Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto rows = plan::ExtractQ4(bundle, exec);
-         ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
-         EXPECT_EQ(*rows, *want) << "Q4/" << ExecutionModelName(model);
-       }},
-      {"Q6", [&](DeviceId d) { return plan::BuildQ6(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           ExecutionModelKind model) {
-         auto want = tpch::Q6Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto revenue = plan::ExtractQ6(bundle, exec);
-         ASSERT_TRUE(revenue.ok()) << ExecutionModelName(model);
-         EXPECT_EQ(*revenue, *want) << "Q6/" << ExecutionModelName(model);
-       }}};
   auto manager = TwoGpuManager();
-  for (const Case& c : kCases) {
-    auto bundle = c.build(0);
-    ASSERT_TRUE(bundle.ok());
-    ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
+  for (const char* name : kQueries) {
+    auto query = PrepareMatrix(name, manager.get());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
     for (ExecutionModelKind model : kAllModels) {
+      SCOPED_TRACE(query->label + "/" + ExecutionModelName(model));
       QueryExecutor executor(manager.get());
       auto exec = executor.Run(
-          bundle->graph.get(),
+          query->bundle.graph.get(),
           OptionsFor(model, KernelVariantRequest::kParallel));
-      ASSERT_TRUE(exec.ok()) << c.name << "/" << ExecutionModelName(model)
-                             << ": " << exec.status().ToString();
-      c.check(*bundle, *exec, model);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      EXPECT_TRUE(query->Verify(*exec).ok());
       // The stats must report what actually ran.
       for (const DeviceRunStats& device : exec->stats.devices) {
         if (device.execute_calls == 0) continue;
-        EXPECT_EQ(device.kernel_variant, "parallel")
-            << c.name << "/" << ExecutionModelName(model);
-        EXPECT_GT(device.parallel_launches, 0u)
-            << c.name << "/" << ExecutionModelName(model);
+        EXPECT_EQ(device.kernel_variant, "parallel");
+        EXPECT_GT(device.parallel_launches, 0u);
       }
     }
   }
@@ -243,64 +183,23 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
 // chains run as single FUSED / FUSED_AGG composites, and the per-device
 // stats must show those composites actually launching.
 TEST(ParityMatrixTest, AllModelsBitIdenticalWithFusionForced) {
-  const auto& fixture = MatrixFixture::Get();
-  struct Case {
-    const char* name;
-    std::function<Result<plan::PlanBundle>(DeviceId)> build;
-    std::function<void(const plan::PlanBundle&, const QueryExecution&,
-                       ExecutionModelKind)>
-        check;
-  };
-  const Catalog& catalog = *fixture.catalog;
-  const Case kCases[] = {
-      {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           ExecutionModelKind model) {
-         auto want = tpch::Q3Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto rows = plan::ExtractQ3(bundle, exec, catalog, {});
-         ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
-         EXPECT_EQ(*rows, *want) << "Q3/" << ExecutionModelName(model);
-       }},
-      {"Q4", [&](DeviceId d) { return plan::BuildQ4(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           ExecutionModelKind model) {
-         auto want = tpch::Q4Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto rows = plan::ExtractQ4(bundle, exec);
-         ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
-         EXPECT_EQ(*rows, *want) << "Q4/" << ExecutionModelName(model);
-       }},
-      {"Q6", [&](DeviceId d) { return plan::BuildQ6(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           ExecutionModelKind model) {
-         auto want = tpch::Q6Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto revenue = plan::ExtractQ6(bundle, exec);
-         ASSERT_TRUE(revenue.ok()) << ExecutionModelName(model);
-         EXPECT_EQ(*revenue, *want) << "Q6/" << ExecutionModelName(model);
-       }}};
   auto manager = TwoGpuManager();
-  for (const Case& c : kCases) {
-    auto bundle = c.build(0);
-    ASSERT_TRUE(bundle.ok());
-    ExecutionOptions fuse_options;
-    fuse_options.fusion = FusionMode::kOn;
-    auto report = plan::ApplyFusion(&*bundle, fuse_options, manager.get());
-    ASSERT_TRUE(report.ok()) << c.name << ": " << report.status().ToString();
-    ASSERT_GT(report->groups, 0) << c.name << " produced no fused groups";
+  for (const char* name : kQueries) {
+    auto query = PrepareMatrix(name, manager.get(), FusionMode::kOn);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    ASSERT_GT(query->fusion.groups, 0)
+        << query->label << " produced no fused groups";
     for (ExecutionModelKind model : kAllModels) {
+      SCOPED_TRACE(query->label + "/" + ExecutionModelName(model));
       QueryExecutor executor(manager.get());
-      auto exec = executor.Run(bundle->graph.get(), OptionsFor(model));
-      ASSERT_TRUE(exec.ok()) << c.name << "/" << ExecutionModelName(model)
-                             << ": " << exec.status().ToString();
-      c.check(*bundle, *exec, model);
+      auto exec = executor.Run(query->bundle.graph.get(), OptionsFor(model));
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      EXPECT_TRUE(query->Verify(*exec).ok());
       size_t fused_launches = 0;
       for (const DeviceRunStats& device : exec->stats.devices) {
         fused_launches += device.fused_launches;
       }
-      EXPECT_GT(fused_launches, 0u)
-          << c.name << "/" << ExecutionModelName(model);
+      EXPECT_GT(fused_launches, 0u);
     }
   }
 }
@@ -308,35 +207,22 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithFusionForced) {
 // --- Footprint estimate upper-bounds observed high water -------------------
 
 TEST(ParityMatrixTest, EstimateUpperBoundsHighWaterForAllModels) {
-  const auto& fixture = MatrixFixture::Get();
-  struct Case {
-    const char* name;
-    std::function<Result<plan::PlanBundle>(DeviceId)> build;
-  };
-  const Catalog& catalog = *fixture.catalog;
-  const Case kCases[] = {
-      {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); }},
-      {"Q4", [&](DeviceId d) { return plan::BuildQ4(catalog, {}, d); }},
-      {"Q6", [&](DeviceId d) { return plan::BuildQ6(catalog, {}, d); }}};
-  for (const Case& c : kCases) {
+  for (const char* name : kQueries) {
     for (ExecutionModelKind model : kAllModels) {
+      SCOPED_TRACE(std::string("Q") + name + "/" + ExecutionModelName(model));
       // Fresh manager per run so high-water marks are not inherited.
       auto manager = TwoGpuManager();
-      auto bundle = c.build(0);
-      ASSERT_TRUE(bundle.ok());
-      ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
+      auto query = PrepareMatrix(name, manager.get());
+      ASSERT_TRUE(query.ok());
       const ExecutionOptions options = OptionsFor(model);
-      auto estimate = EstimateDeviceMemoryBytes(*bundle->graph, options,
+      auto estimate = EstimateDeviceMemoryBytes(*query->bundle.graph, options,
                                                 manager->data_scale());
-      ASSERT_TRUE(estimate.ok()) << c.name << "/" << ExecutionModelName(model);
+      ASSERT_TRUE(estimate.ok());
       QueryExecutor executor(manager.get());
-      auto exec = executor.Run(bundle->graph.get(), options);
-      ASSERT_TRUE(exec.ok()) << c.name << "/" << ExecutionModelName(model)
-                             << ": " << exec.status().ToString();
+      auto exec = executor.Run(query->bundle.graph.get(), options);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       for (const DeviceRunStats& device : exec->stats.devices) {
-        EXPECT_GE(*estimate, device.device_mem_high_water)
-            << c.name << "/" << ExecutionModelName(model) << " on "
-            << device.name;
+        EXPECT_GE(*estimate, device.device_mem_high_water) << device.name;
       }
     }
   }
@@ -368,61 +254,22 @@ std::unique_ptr<DeviceManager> HeteroManager() {
 // rebalancing on and off: every run must match the host reference bit for
 // bit — stealing may move chunks between devices but never changes results.
 TEST(ParityMatrixTest, HeterogeneousSplitBitIdenticalWithAndWithoutRebalance) {
-  const auto& fixture = MatrixFixture::Get();
-  const Catalog& catalog = *fixture.catalog;
-  struct Case {
-    const char* name;
-    std::function<Result<plan::PlanBundle>(DeviceId)> build;
-    std::function<void(const plan::PlanBundle&, const QueryExecution&,
-                       const char*)>
-        check;
-  };
-  const Case kCases[] = {
-      {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           const char* tag) {
-         auto want = tpch::Q3Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto rows = plan::ExtractQ3(bundle, exec, catalog, {});
-         ASSERT_TRUE(rows.ok()) << tag;
-         EXPECT_EQ(*rows, *want) << tag;
-       }},
-      {"Q4", [&](DeviceId d) { return plan::BuildQ4(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           const char* tag) {
-         auto want = tpch::Q4Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto rows = plan::ExtractQ4(bundle, exec);
-         ASSERT_TRUE(rows.ok()) << tag;
-         EXPECT_EQ(*rows, *want) << tag;
-       }},
-      {"Q6", [&](DeviceId d) { return plan::BuildQ6(catalog, {}, d); },
-       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
-           const char* tag) {
-         auto want = tpch::Q6Reference(catalog, {});
-         ASSERT_TRUE(want.ok());
-         auto revenue = plan::ExtractQ6(bundle, exec);
-         ASSERT_TRUE(revenue.ok()) << tag;
-         EXPECT_EQ(*revenue, *want) << tag;
-       }}};
   auto manager = HeteroManager();
-  for (const Case& c : kCases) {
-    auto bundle = c.build(0);
-    ASSERT_TRUE(bundle.ok());
-    ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
+  for (const char* name : kQueries) {
+    auto query = PrepareMatrix(name, manager.get());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
     for (bool rebalance : {true, false}) {
-      SCOPED_TRACE(std::string(c.name) +
-                   (rebalance ? "/rebalance" : "/static"));
+      SCOPED_TRACE(query->label + (rebalance ? "/rebalance" : "/static"));
       ExecutionOptions options = OptionsFor(ExecutionModelKind::kDeviceParallel);
       options.split_rebalance = rebalance;
       QueryExecutor executor(manager.get());
-      auto exec = executor.Run(bundle->graph.get(), options);
+      auto exec = executor.Run(query->bundle.graph.get(), options);
       ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       // The driver must have recorded an asymmetric cost-ratio split for
       // the pair (fast share strictly above even).
       ASSERT_EQ(exec->stats.split_ratio_by_device.size(), 2u);
       EXPECT_GT(exec->stats.split_ratio_by_device.begin()->second, 0.5);
-      c.check(*bundle, *exec, c.name);
+      EXPECT_TRUE(query->Verify(*exec).ok());
     }
   }
 }
@@ -435,9 +282,9 @@ TEST(ParityMatrixTest, HeterogeneousSplitBitIdenticalWithAndWithoutRebalance) {
 TEST(ParityMatrixTest, HeterogeneousSeededCancellationOnAsymmetricSplit) {
   const auto& fixture = MatrixFixture::Get();
   auto manager = HeteroManager();
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
+  auto q6 = PrepareMatrix("6", manager.get());
+  ASSERT_TRUE(q6.ok());
+  const plan::PlanBundle* bundle = &q6->bundle;
   auto want = tpch::Q6Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
 

@@ -299,13 +299,14 @@ TEST(StatsProperties, KernelBreakdownSumsToTotal) {
     return new Catalog(**catalog);
   }();
   Rig rig;
-  auto bundle = plan::BuildQ6(*kCatalog, {}, rig.dev_id);
-  ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
   options.chunk_elems = 512;
+  options.fusion = FusionMode::kOff;
+  auto q6 = sql::Prepare("6", *kCatalog, &rig.manager, rig.dev_id, options);
+  ASSERT_TRUE(q6.ok());
   QueryExecutor executor(&rig.manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(q6->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok());
   const auto& dev = exec->stats.devices[static_cast<size_t>(rig.dev_id)];
   double sum = 0;

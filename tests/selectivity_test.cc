@@ -8,7 +8,6 @@
 #include "adamant/adamant.h"
 #include "plan/interpreter.h"
 #include "plan/selectivity.h"
-#include "plan/tpch_logical.h"
 
 namespace adamant::plan {
 namespace {
@@ -124,9 +123,18 @@ TEST(Selectivity, AnnotatedTpchPlansRunCorrectly) {
   ASSERT_TRUE(gpu.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
 
-  auto logical = Q6Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto annotated = AnnotateSelectivities(**logical, SharedCatalog(), 11);
+  const tpch::Q6Params q6;
+  auto logical = Reduce(
+      Project(Filter(Scan("lineitem"),
+                     {Predicate::Between("l_shipdate", q6.date,
+                                         q6.date_end() - 1, 0.15),
+                      Predicate::Between("l_discount", q6.discount_pct - 1,
+                                         q6.discount_pct + 1, 0.28),
+                      Predicate::Lt("l_quantity", q6.quantity, 0.47)}),
+              {{"revenue",
+                ScalarExpr::MulPct("l_extendedprice", "l_discount")}}),
+      {{AggOp::kSum, "revenue", "revenue"}});
+  auto annotated = AnnotateSelectivities(*logical, SharedCatalog(), 11);
   ASSERT_TRUE(annotated.ok());
   auto bundle = LowerPlan(**annotated, SharedCatalog(), *gpu);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();

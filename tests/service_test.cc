@@ -10,12 +10,14 @@
 #include <vector>
 
 #include "adamant/adamant.h"
+#include "test_util.h"
 
 namespace adamant {
 namespace {
 
 struct ServiceFixture {
   std::shared_ptr<Catalog> catalog;
+  std::unique_ptr<test::ServeMix> mix;
 
   static const ServiceFixture& Get() {
     static const ServiceFixture* const kFixture = [] {
@@ -25,41 +27,12 @@ struct ServiceFixture {
       auto catalog = tpch::Generate(config);
       ADAMANT_CHECK(catalog.ok()) << catalog.status().ToString();
       fixture->catalog = *catalog;
+      fixture->mix = std::make_unique<test::ServeMix>(**catalog);
       return fixture;
     }();
     return *kFixture;
   }
 };
-
-QuerySpec SpecFor(const Catalog* catalog, int kind) {
-  QuerySpec spec;
-  if (kind == 0) {
-    spec.name = "Q3";
-    spec.make_graph =
-        [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ3(*catalog, {}, device));
-      return std::move(bundle.graph);
-    };
-  } else if (kind == 1) {
-    spec.name = "Q4";
-    spec.make_graph =
-        [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ4(*catalog, {}, device));
-      return std::move(bundle.graph);
-    };
-  } else {
-    spec.name = "Q6";
-    spec.make_graph =
-        [catalog](DeviceId device) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::BuildQ6(*catalog, {}, device));
-      return std::move(bundle.graph);
-    };
-  }
-  return spec;
-}
 
 // --- Scheduler building blocks -------------------------------------------
 
@@ -167,21 +140,13 @@ TEST(QueryServiceTest, SeededMixedWorkloadMatchesSerial) {
     ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
   }
 
-  // Serial references (and template bundles for extraction: node ids are
-  // deterministic per builder).
-  QueryExecutor executor(&manager);
-  auto q3_bundle = plan::BuildQ3(*fixture.catalog, {}, 0);
-  auto q4_bundle = plan::BuildQ4(*fixture.catalog, {}, 0);
-  auto q6_bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(q3_bundle.ok() && q4_bundle.ok() && q6_bundle.ok());
-  auto q3_exec = executor.Run(q3_bundle->graph.get(), {});
-  auto q4_exec = executor.Run(q4_bundle->graph.get(), {});
-  auto q6_exec = executor.Run(q6_bundle->graph.get(), {});
-  ASSERT_TRUE(q3_exec.ok() && q4_exec.ok() && q6_exec.ok());
-  auto q3_ref = plan::ExtractQ3(*q3_bundle, *q3_exec, *fixture.catalog, {});
-  auto q4_ref = plan::ExtractQ4(*q4_bundle, *q4_exec);
-  auto q6_ref = plan::ExtractQ6(*q6_bundle, *q6_exec);
-  ASSERT_TRUE(q3_ref.ok() && q4_ref.ok() && q6_ref.ok());
+  // Serial references, one per query kind.
+  std::vector<sql::SqlResultSet> refs;
+  for (int kind = 0; kind < 3; ++kind) {
+    auto rows = fixture.mix->RunSerial(kind, &manager);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    refs.push_back(std::move(*rows));
+  }
 
   ServiceConfig config;
   config.workers = 4;
@@ -193,7 +158,7 @@ TEST(QueryServiceTest, SeededMixedWorkloadMatchesSerial) {
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 50; ++i) {
     const int kind = pick(rng);
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), kind));
+    auto ticket = service.Submit(fixture.mix->Spec(kind));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     kinds.push_back(kind);
     tickets.push_back(*ticket);
@@ -202,19 +167,10 @@ TEST(QueryServiceTest, SeededMixedWorkloadMatchesSerial) {
   for (size_t i = 0; i < tickets.size(); ++i) {
     const Result<QueryExecution>& result = tickets[i]->Wait();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (kinds[i] == 0) {
-      auto rows = plan::ExtractQ3(*q3_bundle, *result, *fixture.catalog, {});
-      ASSERT_TRUE(rows.ok());
-      EXPECT_EQ(*rows, *q3_ref) << "query " << i;
-    } else if (kinds[i] == 1) {
-      auto rows = plan::ExtractQ4(*q4_bundle, *result);
-      ASSERT_TRUE(rows.ok());
-      EXPECT_EQ(*rows, *q4_ref) << "query " << i;
-    } else {
-      auto revenue = plan::ExtractQ6(*q6_bundle, *result);
-      ASSERT_TRUE(revenue.ok());
-      EXPECT_EQ(*revenue, *q6_ref) << "query " << i;
-    }
+    auto rows = fixture.mix->query(kinds[i]).Results(*result);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->rows, refs[static_cast<size_t>(kinds[i])].rows)
+        << "query " << i;
   }
   service.Drain();
 
@@ -261,7 +217,7 @@ TEST(QueryServiceTest, RepeatedServedRunsTightenPredictions) {
   auto q3_bundle = plan::BuildQ3(*fixture.catalog, {}, 0);
   ASSERT_TRUE(q3_bundle.ok());
   for (int run = 0; run < 4; ++run) {
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 0));
+    auto ticket = service.Submit(fixture.mix->Spec(0));
     ASSERT_TRUE(ticket.ok());
     const Result<QueryExecution>& result = (*ticket)->Wait();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -301,6 +257,62 @@ TEST(QueryServiceTest, RepeatedServedRunsTightenPredictions) {
   EXPECT_EQ(service.feedback().ApplyToGraph("nope", other->graph.get()), 0);
 }
 
+// --- Served SQL runs the unfused Prepare graph ----------------------------
+
+// A QuerySpec::sql submission runs exactly the graph sql::Prepare builds
+// with fusion off on the placed device, so a client that prepares the same
+// text unfused reads the served results through its own bundle.
+TEST(QueryServiceTest, ServedSqlRunsTheUnfusedPreparedGraph) {
+  const auto& fixture = ServiceFixture::Get();
+  DeviceManager manager;
+  for (int i = 0; i < 2; ++i) {
+    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu,
+                                    "gpu." + std::to_string(i));
+    ASSERT_TRUE(device.ok());
+    ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+  }
+  ServiceConfig config;
+  config.workers = 2;
+  QueryService service(&manager, config);
+  for (const char* name : {"q4", "q6"}) {
+    SCOPED_TRACE(name);
+    QuerySpec spec;
+    spec.sql = sql::FindBuiltinQuery(name)->sql;
+    spec.sql_catalog = fixture.catalog.get();
+    spec.options.fusion = FusionMode::kAuto;  // the service ignores it
+    spec.options.collect_operator_stats = true;
+    auto ticket = service.Submit(std::move(spec));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    const Result<QueryExecution>& result = (*ticket)->Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    auto prepared =
+        test::PrepareUnfused(name, *fixture.catalog, &manager,
+                             (*ticket)->placed_device());
+    ASSERT_TRUE(prepared.ok());
+    const std::vector<GraphNode>& nodes = prepared->bundle.graph->nodes();
+    const std::vector<obs::OperatorStats>& ops =
+        result->stats.profile.operators;
+    ASSERT_EQ(ops.size(), nodes.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_EQ(ops[i].node_id, nodes[i].id);
+      EXPECT_EQ(ops[i].kind, GetSignature(nodes[i].kind).kernel_name);
+      EXPECT_EQ(ops[i].label, nodes[i].label);
+    }
+    auto served = prepared->Results(*result);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    auto local = test::PrepareUnfused(name, *fixture.catalog, &manager);
+    ASSERT_TRUE(local.ok());
+    QueryExecutor executor(&manager);
+    auto exec = executor.Run(local->bundle.graph.get(), local->options);
+    ASSERT_TRUE(exec.ok());
+    auto want = local->Results(*exec);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(served->rows, want->rows);
+  }
+  service.Stop();
+}
+
 // --- Query history ring + slow-query retention ----------------------------
 
 TEST(QueryServiceTest, HistoryRingIsBoundedAndNonSlowEntriesDropOperators) {
@@ -317,7 +329,7 @@ TEST(QueryServiceTest, HistoryRingIsBoundedAndNonSlowEntriesDropOperators) {
   config.slow_query_fraction = 2.0;
   QueryService service(&manager, config);
   for (int i = 0; i < 10; ++i) {
-    QuerySpec spec = SpecFor(fixture.catalog.get(), 2);
+    QuerySpec spec = fixture.mix->Spec(2);
     spec.deadline_ms = 60000;
     auto ticket = service.Submit(std::move(spec));
     ASSERT_TRUE(ticket.ok());
@@ -354,7 +366,7 @@ TEST(QueryServiceTest, SlowQueryRetainsOperatorTreeInHistory) {
   // Any nonzero run time exceeds 0 x deadline: every query is "slow".
   config.slow_query_fraction = 0.0;
   QueryService service(&manager, config);
-  QuerySpec spec = SpecFor(fixture.catalog.get(), 0);
+  QuerySpec spec = fixture.mix->Spec(0);
   spec.deadline_ms = 60000;
   auto ticket = service.Submit(std::move(spec));
   ASSERT_TRUE(ticket.ok());
@@ -378,10 +390,8 @@ TEST(QueryServiceTest, BudgetExceedingQueryQueuesInsteadOfFailing) {
   ASSERT_TRUE(device.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
 
-  auto probe = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(probe.ok());
-  auto estimate =
-      EstimateDeviceMemoryBytes(*probe->graph, {}, manager.data_scale());
+  auto estimate = EstimateDeviceMemoryBytes(
+      *fixture.mix->query(2).bundle.graph, {}, manager.data_scale());
   ASSERT_TRUE(estimate.ok());
   ASSERT_GT(*estimate, 0u);
 
@@ -395,7 +405,7 @@ TEST(QueryServiceTest, BudgetExceedingQueryQueuesInsteadOfFailing) {
 
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 6; ++i) {
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+    auto ticket = service.Submit(fixture.mix->Spec(2));
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     tickets.push_back(*ticket);
   }
@@ -427,10 +437,8 @@ TEST(QueryServiceTest, PlacesQueryOnDeviceWithBudgetHeadroom) {
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*cpu)).ok());
 
-  auto probe = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(probe.ok());
-  auto estimate =
-      EstimateDeviceMemoryBytes(*probe->graph, {}, manager.data_scale());
+  auto estimate = EstimateDeviceMemoryBytes(
+      *fixture.mix->query(2).bundle.graph, {}, manager.data_scale());
   ASSERT_TRUE(estimate.ok());
   ASSERT_GT(*estimate, 1u);
 
@@ -446,7 +454,7 @@ TEST(QueryServiceTest, PlacesQueryOnDeviceWithBudgetHeadroom) {
   config.cache_budget_bytes = gpu_arena - *estimate / 2;
   QueryService service(&manager, config);
 
-  auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto ticket = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   ASSERT_TRUE((*ticket)->Wait().ok())
       << (*ticket)->Wait().status().ToString();
@@ -467,7 +475,7 @@ TEST(QueryServiceTest, RejectsQueryLargerThanEveryBudget) {
   ServiceConfig config;
   config.query_budget_bytes = 1;  // nothing fits
   QueryService service(&manager, config);
-  auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto ticket = service.Submit(fixture.mix->Spec(2));
   ASSERT_FALSE(ticket.ok());
   EXPECT_EQ(ticket.status().code(), StatusCode::kOutOfMemory);
   ServiceStats stats = service.GetStats();
@@ -487,13 +495,13 @@ TEST(QueryServiceTest, SecondRunHitsColumnCache) {
   config.workers = 1;
   QueryService service(&manager, config);
 
-  auto first = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto first = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(first.ok());
   const Result<QueryExecution>& first_result = (*first)->Wait();
   ASSERT_TRUE(first_result.ok());
   const size_t hits_after_first = service.GetStats().cache.hits;
 
-  auto second = service.Submit(SpecFor(fixture.catalog.get(), 2));
+  auto second = service.Submit(fixture.mix->Spec(2));
   ASSERT_TRUE(second.ok());
   const Result<QueryExecution>& second_result = (*second)->Wait();
   ASSERT_TRUE(second_result.ok());
@@ -502,10 +510,9 @@ TEST(QueryServiceTest, SecondRunHitsColumnCache) {
   EXPECT_GT(stats.cache.hits, hits_after_first);
   EXPECT_GT(stats.cache.bytes_saved, 0u);
   // The cached run produced the same answer.
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  auto a = plan::ExtractQ6(*bundle, *first_result);
-  auto b = plan::ExtractQ6(*bundle, *second_result);
+  const plan::PlanBundle& bundle = fixture.mix->query(2).bundle;
+  auto a = plan::ExtractQ6(bundle, *first_result);
+  auto b = plan::ExtractQ6(bundle, *second_result);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
   // The executor surfaced the hits in its own stats too.
@@ -525,20 +532,14 @@ TEST(QueryServiceTest, MultiDeviceLeaseRunsDeviceParallel) {
     ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
   }
 
-  // Serial reference.
-  QueryExecutor executor(&manager);
-  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(bundle.ok());
-  auto ref_exec = executor.Run(bundle->graph.get(), {});
-  ASSERT_TRUE(ref_exec.ok());
-  auto ref = plan::ExtractQ6(*bundle, *ref_exec);
+  auto ref = fixture.mix->RunSerial(2, &manager);
   ASSERT_TRUE(ref.ok());
 
   ServiceConfig config;
   config.workers = 2;
   QueryService service(&manager, config);
 
-  QuerySpec spec = SpecFor(fixture.catalog.get(), 2);
+  QuerySpec spec = fixture.mix->Spec(2);
   spec.options.model = ExecutionModelKind::kDeviceParallel;
   spec.options.chunk_elems = 2048;  // several chunks so both devices split
   spec.parallel_devices = 2;
@@ -548,9 +549,9 @@ TEST(QueryServiceTest, MultiDeviceLeaseRunsDeviceParallel) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Same answer as the serial run, and the lease covered both devices.
-  auto got = plan::ExtractQ6(*bundle, *result);
+  auto got = fixture.mix->query(2).Results(*result);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *ref);
+  EXPECT_EQ(got->rows, ref->rows);
   EXPECT_EQ((*ticket)->placed_devices().size(), 2u);
   size_t split_chunks = 0;
   for (const auto& [device, chunks] : result->stats.chunks_by_device) {
@@ -581,12 +582,12 @@ TEST(QueryServiceTest, MultiDeviceLeaseValidatesSpec) {
   QueryService service(&manager, {});
 
   // parallel_devices > 1 without the device-parallel model is a spec error.
-  QuerySpec wrong_model = SpecFor(fixture.catalog.get(), 2);
+  QuerySpec wrong_model = fixture.mix->Spec(2);
   wrong_model.parallel_devices = 2;
   EXPECT_TRUE(service.Submit(wrong_model).status().IsInvalidArgument());
 
   // More devices than the eligible pool can never dispatch.
-  QuerySpec too_many = SpecFor(fixture.catalog.get(), 2);
+  QuerySpec too_many = fixture.mix->Spec(2);
   too_many.options.model = ExecutionModelKind::kDeviceParallel;
   too_many.parallel_devices = 3;
   EXPECT_TRUE(service.Submit(too_many).status().IsInvalidArgument());

@@ -28,18 +28,18 @@ TEST(Smoke, Q6AllModels) {
        {ExecutionModelKind::kOperatorAtATime, ExecutionModelKind::kChunked,
         ExecutionModelKind::kPipelined, ExecutionModelKind::kFourPhaseChunked,
         ExecutionModelKind::kFourPhasePipelined}) {
-    auto bundle = plan::BuildQ6(**catalog, params, *gpu);
-    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-
     ExecutionOptions options;
     options.model = model;
     options.chunk_elems = 1024;  // force many chunks at this tiny scale
+    options.fusion = FusionMode::kOff;
+    auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, options);
+    ASSERT_TRUE(q6.ok()) << q6.status().ToString();
 
     QueryExecutor executor(&manager);
-    auto exec = executor.Run(bundle->graph.get(), options);
+    auto exec = executor.Run(q6->bundle.graph.get(), options);
     ASSERT_TRUE(exec.ok()) << ExecutionModelName(model) << ": "
                            << exec.status().ToString();
-    auto revenue = plan::ExtractQ6(*bundle, *exec);
+    auto revenue = plan::ExtractQ6(q6->bundle, *exec);
     ASSERT_TRUE(revenue.ok()) << revenue.status().ToString();
     EXPECT_EQ(*revenue, *expected) << ExecutionModelName(model);
     EXPECT_GT(exec->stats.elapsed_us, 0) << ExecutionModelName(model);

@@ -1,8 +1,8 @@
 // SQL frontend tests: lexer/parser/binder diagnostics (line:col positions,
-// no aborts), compile-and-run parity of the q1/q3/q4/q6 built-ins against
-// the hand-built logical plans across every execution model, the two
-// SQL-only built-ins against host-loop references, EXPLAIN content, and
-// QuerySpec::sql submission through the service.
+// no aborts), parity of the q1/q3/q4/q6 built-ins with the tpch host
+// references across every execution model, the two SQL-only built-ins
+// against host-loop references, EXPLAIN content, and QuerySpec::sql
+// submission through the service.
 
 #include <gtest/gtest.h>
 
@@ -62,6 +62,7 @@ ExecutionOptions OptionsFor(ExecutionModelKind model) {
   ExecutionOptions options;
   options.model = model;
   options.chunk_elems = 1024;  // several chunks even at SF 0.002
+  options.fusion = FusionMode::kOff;
   if (model == ExecutionModelKind::kDeviceParallel) {
     options.device_set = {0, 1};
   }
@@ -78,29 +79,24 @@ const std::string& BuiltinSql(const char* name) {
   return builtin->sql;
 }
 
-/// Compiles `sql_text` and runs it under `model`, returning the extracted
-/// result set.
-Result<sql::SqlResultSet> CompileAndRun(const std::string& sql_text,
+/// Prepares `sql_text`, runs it under `model` and returns the extracted
+/// result set, after checking every sink against the host interpreter.
+Result<sql::SqlResultSet> RunSql(const std::string& sql_text,
                                         const Catalog& catalog,
                                         DeviceManager* manager,
                                         ExecutionModelKind model,
                                         sql::CompiledQuery* compiled_out =
                                             nullptr) {
-  sql::PlannerOptions planner_options;
-  planner_options.manager = manager;
-  ADAMANT_ASSIGN_OR_RETURN(sql::CompiledQuery compiled,
-                           sql::Compile(sql_text, catalog, planner_options));
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           plan::LowerPlan(*compiled.plan, catalog, 0));
+  ADAMANT_ASSIGN_OR_RETURN(
+      sql::PreparedQuery query,
+      sql::Prepare(sql_text, catalog, manager, 0, OptionsFor(model)));
   QueryExecutor executor(manager);
   ADAMANT_ASSIGN_OR_RETURN(
       QueryExecution exec,
-      executor.Run(bundle.graph.get(), OptionsFor(model)));
-  ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet results,
-                           sql::ExtractResults(compiled, bundle, exec));
-  ADAMANT_RETURN_NOT_OK(
-      sql::VerifyAgainstInterpreter(compiled, bundle, exec, catalog));
-  if (compiled_out != nullptr) *compiled_out = std::move(compiled);
+      executor.Run(query.bundle.graph.get(), query.options));
+  ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet results, query.Results(exec));
+  ADAMANT_RETURN_NOT_OK(query.Verify(exec));
+  if (compiled_out != nullptr) *compiled_out = std::move(*query.compiled);
   return results;
 }
 
@@ -259,7 +255,7 @@ TEST(SqlBinder, UnknownDictLiteralBindsToNeverMatch) {
   // A miss in the dictionary is an empty result, not an error.
   const auto& fixture = SqlFixture::Get();
   auto manager = TwoGpuManager();
-  auto results = CompileAndRun(
+  auto results = RunSql(
       "SELECT COUNT(*) AS n FROM lineitem WHERE l_shipmode = 'WARP DRIVE'",
       *fixture.catalog, manager.get(), ExecutionModelKind::kChunked);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
@@ -267,7 +263,7 @@ TEST(SqlBinder, UnknownDictLiteralBindsToNeverMatch) {
   EXPECT_EQ(results->rows[0][0].i, 0);
 }
 
-// --- Parity with the hand-built plans, across every execution model ---
+// --- Parity with the tpch references, across every execution model ---
 
 TEST(SqlParity, Q6AllModels) {
   const auto& fixture = SqlFixture::Get();
@@ -275,22 +271,12 @@ TEST(SqlParity, Q6AllModels) {
   auto want = tpch::Q6Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
   for (ExecutionModelKind model : kAllModels) {
-    auto results = CompileAndRun(BuiltinSql("q6"), *fixture.catalog,
+    auto results = RunSql(BuiltinSql("q6"), *fixture.catalog,
                                  manager.get(), model);
     ASSERT_TRUE(results.ok()) << ExecutionModelName(model) << ": "
                               << results.status().ToString();
     ASSERT_EQ(results->rows.size(), 1u);
     EXPECT_EQ(results->rows[0][0].i, *want) << ExecutionModelName(model);
-
-    // Bit-identical to the hand-built logical plan's execution.
-    auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
-    ASSERT_TRUE(bundle.ok());
-    QueryExecutor executor(manager.get());
-    auto exec = executor.Run(bundle->graph.get(), OptionsFor(model));
-    ASSERT_TRUE(exec.ok());
-    auto hand = plan::ExtractQ6(*bundle, *exec);
-    ASSERT_TRUE(hand.ok());
-    EXPECT_EQ(results->rows[0][0].i, *hand) << ExecutionModelName(model);
   }
 }
 
@@ -306,7 +292,7 @@ TEST(SqlParity, Q1AllModels) {
   }
   for (ExecutionModelKind model : kAllModels) {
     sql::CompiledQuery compiled;
-    auto results = CompileAndRun(BuiltinSql("q1"), *fixture.catalog,
+    auto results = RunSql(BuiltinSql("q1"), *fixture.catalog,
                                  manager.get(), model, &compiled);
     ASSERT_TRUE(results.ok()) << ExecutionModelName(model) << ": "
                               << results.status().ToString();
@@ -330,21 +316,6 @@ TEST(SqlParity, Q1AllModels) {
                                      static_cast<double>(ref.count));
       EXPECT_EQ(row[7].i, ref.count);
     }
-    // The hand-built Q1 packs its group key with a different modulus (8 vs
-    // the planner's dictionary-derived power of two); decoded rows must
-    // still agree bit for bit.
-    auto bundle = plan::BuildQ1(*fixture.catalog, {}, 0);
-    ASSERT_TRUE(bundle.ok());
-    QueryExecutor executor(manager.get());
-    auto exec = executor.Run(bundle->graph.get(), OptionsFor(model));
-    ASSERT_TRUE(exec.ok()) << ExecutionModelName(model);
-    auto hand = plan::ExtractQ1(*bundle, *exec);
-    ASSERT_TRUE(hand.ok());
-    for (const tpch::Q1Row& row : *hand) {
-      auto it = expected.find({row.returnflag, row.linestatus});
-      ASSERT_NE(it, expected.end());
-      EXPECT_EQ(row, it->second) << ExecutionModelName(model);
-    }
   }
 }
 
@@ -354,7 +325,7 @@ TEST(SqlParity, Q3AllModels) {
   auto want = tpch::Q3Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
   for (ExecutionModelKind model : kAllModels) {
-    auto results = CompileAndRun(BuiltinSql("q3"), *fixture.catalog,
+    auto results = RunSql(BuiltinSql("q3"), *fixture.catalog,
                                  manager.get(), model);
     ASSERT_TRUE(results.ok()) << ExecutionModelName(model) << ": "
                               << results.status().ToString();
@@ -375,7 +346,7 @@ TEST(SqlParity, Q4AllModels) {
   auto want = tpch::Q4Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
   for (ExecutionModelKind model : kAllModels) {
-    auto results = CompileAndRun(BuiltinSql("q4"), *fixture.catalog,
+    auto results = RunSql(BuiltinSql("q4"), *fixture.catalog,
                                  manager.get(), model);
     ASSERT_TRUE(results.ok()) << ExecutionModelName(model) << ": "
                               << results.status().ToString();
@@ -383,19 +354,6 @@ TEST(SqlParity, Q4AllModels) {
     for (size_t i = 0; i < want->size(); ++i) {
       EXPECT_EQ(results->rows[i][0].i, (*want)[i].priority);
       EXPECT_EQ(results->rows[i][1].i, (*want)[i].order_count);
-    }
-    // Same rows as the hand-built semi-join plan.
-    auto bundle = plan::BuildQ4(*fixture.catalog, {}, 0);
-    ASSERT_TRUE(bundle.ok());
-    QueryExecutor executor(manager.get());
-    auto exec = executor.Run(bundle->graph.get(), OptionsFor(model));
-    ASSERT_TRUE(exec.ok());
-    auto hand = plan::ExtractQ4(*bundle, *exec);
-    ASSERT_TRUE(hand.ok());
-    ASSERT_EQ(hand->size(), results->rows.size());
-    for (size_t i = 0; i < hand->size(); ++i) {
-      EXPECT_EQ(results->rows[i][0].i, (*hand)[i].priority);
-      EXPECT_EQ(results->rows[i][1].i, (*hand)[i].order_count);
     }
   }
 }
@@ -431,7 +389,7 @@ TEST(SqlOnly, ShipmodeRollupMatchesHostLoop) {
   }
 
   for (ExecutionModelKind model : kAllModels) {
-    auto results = CompileAndRun(BuiltinSql("shipmode_rollup"),
+    auto results = RunSql(BuiltinSql("shipmode_rollup"),
                                  *fixture.catalog, manager.get(), model);
     ASSERT_TRUE(results.ok()) << ExecutionModelName(model) << ": "
                               << results.status().ToString();
@@ -474,7 +432,7 @@ TEST(SqlOnly, PriorityWindowMatchesHostLoop) {
   }
 
   for (ExecutionModelKind model : kAllModels) {
-    auto results = CompileAndRun(BuiltinSql("priority_window"),
+    auto results = RunSql(BuiltinSql("priority_window"),
                                  *fixture.catalog, manager.get(), model);
     ASSERT_TRUE(results.ok()) << ExecutionModelName(model) << ": "
                               << results.status().ToString();
@@ -497,7 +455,7 @@ TEST(SqlOnly, PriorityWindowMatchesHostLoop) {
 TEST(SqlFeatures, OrderByAndLimit) {
   const auto& fixture = SqlFixture::Get();
   auto manager = TwoGpuManager();
-  auto results = CompileAndRun(
+  auto results = RunSql(
       "SELECT l_shipmode, COUNT(*) AS n FROM lineitem "
       "GROUP BY l_shipmode ORDER BY n DESC, l_shipmode LIMIT 3",
       *fixture.catalog, manager.get(), ExecutionModelKind::kChunked);
@@ -510,7 +468,7 @@ TEST(SqlFeatures, OrderByAndLimit) {
 TEST(SqlFeatures, OrderByPosition) {
   const auto& fixture = SqlFixture::Get();
   auto manager = TwoGpuManager();
-  auto results = CompileAndRun(
+  auto results = RunSql(
       "SELECT l_linenumber, SUM(l_quantity) AS q FROM lineitem "
       "GROUP BY l_linenumber ORDER BY 1",
       *fixture.catalog, manager.get(), ExecutionModelKind::kChunked);
@@ -524,7 +482,7 @@ TEST(SqlFeatures, OrderByPosition) {
 TEST(SqlFeatures, AvgIsSumOverCount) {
   const auto& fixture = SqlFixture::Get();
   auto manager = TwoGpuManager();
-  auto results = CompileAndRun(
+  auto results = RunSql(
       "SELECT SUM(l_quantity) AS s, COUNT(*) AS n, AVG(l_quantity) AS a "
       "FROM lineitem WHERE l_quantity < 10",
       *fixture.catalog, manager.get(), ExecutionModelKind::kChunked);
@@ -685,13 +643,12 @@ TEST(SqlService, SubmitsSqlText) {
   const auto& fixture = SqlFixture::Get();
   auto manager = TwoGpuManager();
 
-  sql::PlannerOptions planner_options;
-  planner_options.manager = manager.get();
-  auto compiled =
-      sql::Compile(BuiltinSql("q6"), *fixture.catalog, planner_options);
-  ASSERT_TRUE(compiled.ok());
-  auto bundle = plan::LowerPlan(*compiled->plan, *fixture.catalog, 0);
-  ASSERT_TRUE(bundle.ok());
+  // The service lowers the text unfused, exactly as Prepare does here, so
+  // this bundle reads the served run.
+  const ExecutionOptions options = OptionsFor(ExecutionModelKind::kChunked);
+  auto q6 = sql::Prepare(BuiltinSql("q6"), *fixture.catalog, manager.get(), 0,
+                         options);
+  ASSERT_TRUE(q6.ok());
   auto want = tpch::Q6Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
 
@@ -701,14 +658,14 @@ TEST(SqlService, SubmitsSqlText) {
   QuerySpec spec;
   spec.sql = BuiltinSql("q6");
   spec.sql_catalog = fixture.catalog.get();
-  spec.options = OptionsFor(ExecutionModelKind::kChunked);
+  spec.options = options;
   auto ticket = service.Submit(std::move(spec));
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   const auto& result = (*ticket)->Wait();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*ticket)->name(), "sql");
 
-  auto results = sql::ExtractResults(*compiled, *bundle, *result);
+  auto results = q6->Results(*result);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_EQ(results->rows.size(), 1u);
   EXPECT_EQ(results->rows[0][0].i, *want);

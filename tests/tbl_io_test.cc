@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "adamant/adamant.h"
+#include "test_util.h"
 #include "storage/tbl_io.h"
 #include "tpch/tbl_schemas.h"
 
@@ -191,15 +192,15 @@ TEST(TblIo, DbgenLayoutImportRunsQueries) {
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(gpu.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
-  auto bundle = plan::BuildQ6(**loaded, {}, *gpu);
+  auto bundle = test::PrepareUnfused("6", **loaded, &manager, *gpu);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
   options.chunk_elems = 512;
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  EXPECT_EQ(*plan::ExtractQ6(*bundle, *exec),
+  EXPECT_EQ(*plan::ExtractQ6(bundle->bundle, *exec),
             *tpch::Q6Reference(**catalog, {}));
   ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }

@@ -60,13 +60,14 @@ TEST(TraceExport, FullQueryTraceRoundTrip) {
   manager.device(*gpu)->transfer_timeline().set_tracing(true);
   manager.device(*gpu)->compute_timeline().set_tracing(true);
 
-  auto bundle = plan::BuildQ6(**catalog, {}, *gpu);
-  ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kFourPhasePipelined;
   options.chunk_elems = 512;
+  options.fusion = FusionMode::kOff;
+  auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, options);
+  ASSERT_TRUE(q6.ok());
   QueryExecutor executor(&manager);
-  ASSERT_TRUE(executor.Run(bundle->graph.get(), options).ok());
+  ASSERT_TRUE(executor.Run(q6->bundle.graph.get(), options).ok());
 
   std::string json = sim::ToChromeTrace(
       {&manager.device(*gpu)->transfer_timeline(),
@@ -87,9 +88,9 @@ TEST(ChunkTuner, ScalesInverselyWithRowWidth) {
   ASSERT_TRUE(gpu.ok());
   // Q6 reads 4 lineitem columns; Q3's widest pipeline also reads several —
   // both should land in a sane power-of-two range.
-  auto q6 = plan::BuildQ6(**catalog, {}, *gpu);
+  auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, {});
   ASSERT_TRUE(q6.ok());
-  auto chunk6 = SuggestChunkElems(*manager.device(*gpu), *q6->graph);
+  auto chunk6 = SuggestChunkElems(*manager.device(*gpu), *q6->bundle.graph);
   ASSERT_TRUE(chunk6.ok());
   EXPECT_TRUE(bit_util::IsPowerOfTwo(*chunk6));
   EXPECT_GE(*chunk6, size_t{1} << 16);
@@ -111,10 +112,10 @@ TEST(ChunkTuner, SmallerDeviceSmallerChunks) {
   DeviceManager manager;
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(gpu.ok());
-  auto q6 = plan::BuildQ6(**catalog, {}, *gpu);
+  auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, {});
   ASSERT_TRUE(q6.ok());
-  auto big_chunk = SuggestChunkElems(*manager.device(*gpu), *q6->graph);
-  auto small_chunk = SuggestChunkElems(small, *q6->graph);
+  auto big_chunk = SuggestChunkElems(*manager.device(*gpu), *q6->bundle.graph);
+  auto small_chunk = SuggestChunkElems(small, *q6->bundle.graph);
   ASSERT_TRUE(big_chunk.ok() && small_chunk.ok());
   EXPECT_LT(*small_chunk, *big_chunk);
 }
@@ -127,17 +128,19 @@ TEST(ChunkTuner, SuggestedChunkRunsCorrectly) {
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(gpu.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
-  auto bundle = plan::BuildQ6(**catalog, {}, *gpu);
-  ASSERT_TRUE(bundle.ok());
-  auto chunk = SuggestChunkElems(*manager.device(*gpu), *bundle->graph);
-  ASSERT_TRUE(chunk.ok());
+  // chunk_elems = 0 asks Prepare for the tuner's suggestion.
   ExecutionOptions options;
   options.model = ExecutionModelKind::kFourPhaseChunked;
-  options.chunk_elems = *chunk;
+  options.chunk_elems = 0;
+  auto q6 = sql::Prepare("6", **catalog, &manager, *gpu, options);
+  ASSERT_TRUE(q6.ok());
+  auto chunk = SuggestChunkElems(*manager.device(*gpu), *q6->bundle.graph);
+  ASSERT_TRUE(chunk.ok());
+  EXPECT_EQ(q6->options.chunk_elems, *chunk);
   QueryExecutor executor(&manager);
-  auto exec = executor.Run(bundle->graph.get(), options);
+  auto exec = executor.Run(q6->bundle.graph.get(), q6->options);
   ASSERT_TRUE(exec.ok());
-  EXPECT_EQ(*plan::ExtractQ6(*bundle, *exec),
+  EXPECT_EQ(*plan::ExtractQ6(q6->bundle, *exec),
             *tpch::Q6Reference(**catalog, {}));
 }
 

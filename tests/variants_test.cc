@@ -76,13 +76,16 @@ TEST(Q6LateShape, LateMovesFewerPayloadBytes) {
   // work (the transfer volume is identical — both scan the same columns).
   Rig rig;
   tpch::Q6Params params;
-  auto early = plan::BuildQ6(SharedCatalog(), params, rig.gpu);
+  ExecutionOptions unfused;
+  unfused.fusion = FusionMode::kOff;
+  auto early = sql::Prepare("6", SharedCatalog(), &rig.manager, rig.gpu,
+                            unfused);
   auto late = plan::BuildQ6Late(SharedCatalog(), params, rig.gpu);
   ASSERT_TRUE(early.ok() && late.ok());
-  auto exec_early = rig.Run(&*early, ExecutionModelKind::kChunked);
+  auto exec_early = rig.Run(&early->bundle, ExecutionModelKind::kChunked);
   auto exec_late = rig.Run(&*late, ExecutionModelKind::kChunked);
   ASSERT_TRUE(exec_early.ok() && exec_late.ok());
-  EXPECT_EQ(*plan::ExtractQ6(*early, *exec_early),
+  EXPECT_EQ(*plan::ExtractQ6(early->bundle, *exec_early),
             *plan::ExtractQ6(*late, *exec_late));
   EXPECT_GT(exec_late->stats.kernel_body_us, 0);
 }

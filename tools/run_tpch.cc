@@ -6,7 +6,9 @@
 //            --model=4phase --chunk=auto --verify --trace=/tmp/q6.json
 //
 // Flags:
-//   --query=N         1, 3, 4, 5, 6, 10, 12, 14 or "all" (default: all)
+//   --query=N         a query-registry name (sql/prepare.h): 1, 3, 4, 5, 6,
+//                     10, 12, 14, or "all" (default: all). 1/4/6 compile
+//                     their SQL builtins; the others run hand-built plans
 //   --sf=F            generated scale factor (default 0.01)
 //   --nominal-sf=F    emulated scale factor for the cost model (default: sf)
 //   --tbl-dir=PATH    load dbgen .tbl files instead of generating
@@ -14,7 +16,8 @@
 //   --setup=1|2       hardware setup (Table II)
 //   --model=NAME      oaat | chunked | pipelined | 4phase | 4phase-pipelined
 //                     | device-parallel
-//   --chunk=N|auto    chunk size in nominal elements (default 2^25)
+//   --chunk=N|auto    chunk size in nominal elements (default 2^25); auto
+//                     = SuggestChunkElems on the prepared graph
 //   --kernel-variant=auto|scalar|parallel
 //                     Task-layer kernel variant: auto = per-device policy
 //                     (CPU drivers run the worker-pool parallel variants
@@ -44,7 +47,8 @@
 //                     (time in transfer/compute/merge per device/pipeline)
 //   --metrics=PATH    after the run, dump the metrics registries to PATH as
 //                     Prometheus text (or JSON when PATH ends in .json)
-//   --explain         print the logical plan (where available) and exit
+//   --explain         print the prepared (fused) primitive graph — after the
+//                     compiled plan for SQL — and exit
 //   --explain-analyze run the query with per-operator stats collection and
 //                     print the measured OperatorStats tree next to the
 //                     planner's predictions: rows / selectivity / cost share
@@ -62,7 +66,8 @@
 //   run_tpch --sql-file=query.sql
 //
 //   --sql=TEXT        run a SQL query: TEXT is a built-in name from
-//                     --list-queries, or literal SQL. With --explain,
+//                     --list-queries, or literal SQL; a --query name is
+//                     rejected (exit 2). With --explain,
 //                     prints the bound/annotated plan, pushed-down
 //                     predicates, costed join orders and the chosen device
 //                     placement instead of running. With --verify, the
@@ -85,15 +90,14 @@
 //                     (the static split ratio is final)
 //
 // Serve mode (the service layer of src/service/): replays a seeded mixed
-// Q3/Q4/Q6 workload through the QueryService scheduler, verifies every
-// result against a serial run, and prints aggregate ServiceStats as JSON:
+// workload of registry queries 3/4/6 through the QueryService scheduler
+// (4 and 6 as QuerySpec::sql text, 3 through make_graph), verifies every
+// result against a serial unfused run, and prints aggregate ServiceStats as
+// JSON:
 //
 //   run_tpch --serve --clients=4 --queries=50 --seed=7 --devices=2
 //
 //   --serve           enable serve mode
-//   --serve-sql       serve mode, but every query is submitted as SQL text
-//                     (QuerySpec::sql) — the q3/q4/q6 built-ins — and each
-//                     result is checked against a serial SQL run
 //   --clients=N       concurrent worker threads (default 4)
 //   --queries=N       workload size (default 50)
 //   --seed=N          workload RNG seed (default 7)
@@ -136,6 +140,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -161,7 +166,8 @@ struct Options {
   std::string driver = "cuda_gpu";
   int setup = 1;
   std::string model = "chunked";
-  std::string chunk = "33554432";  // 2^25
+  /// Chunk size in nominal elements; 0 = auto (resolved by sql::Prepare).
+  size_t chunk_elems = size_t{1} << 25;
   /// Task-layer kernel variant: auto (per-device policy) | scalar | parallel.
   std::string kernel_variant = "auto";
   /// Thread budget for parallel variants; 0 = per-device policy count.
@@ -184,8 +190,6 @@ struct Options {
   std::string sql_file;
   bool list_queries = false;
   bool serve = false;
-  /// Serve mode submits QuerySpec::sql text instead of make_graph.
-  bool serve_sql = false;
   size_t clients = 4;
   size_t serve_queries = 50;
   unsigned seed = 7;
@@ -224,23 +228,54 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
+// Parses all of `value` as a number; anything else is an argument error,
+// so a typo exits 2 instead of aborting.
+template <typename T>
+Status ParseNumber(const std::string& arg, const std::string& value, T* out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("bad number in '" + arg + "'");
+  }
+  return Status::OK();
+}
+
+// Splits a comma-separated list, dropping empty tokens.
+std::vector<std::string> SplitList(const std::string& value) {
+  std::vector<std::string> tokens;
+  size_t pos = 0;
+  while (pos <= value.size()) {
+    const size_t comma = value.find(',', pos);
+    const std::string tok =
+        value.substr(pos, comma == std::string::npos ? std::string::npos
+                                                     : comma - pos);
+    if (!tok.empty()) tokens.push_back(tok);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return tokens;
+}
+
 Result<Options> ParseArgs(int argc, char** argv) {
   Options options;
   std::string value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (ParseFlag(arg, "query", &value)) {
+      if (value != "all" && sql::FindRegisteredQuery(value) == nullptr) {
+        return Status::InvalidArgument("unknown query '" + value + "'");
+      }
       options.query = value;
     } else if (ParseFlag(arg, "sf", &value)) {
-      options.sf = std::stod(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.sf));
     } else if (ParseFlag(arg, "nominal-sf", &value)) {
-      options.nominal_sf = std::stod(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.nominal_sf));
     } else if (ParseFlag(arg, "tbl-dir", &value)) {
       options.tbl_dir = value;
     } else if (ParseFlag(arg, "driver", &value)) {
       options.driver = value;
     } else if (ParseFlag(arg, "setup", &value)) {
-      options.setup = std::stoi(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.setup));
     } else if (ParseFlag(arg, "model", &value)) {
       // Knob strings are validated here, through the same parsers the
       // runtime's ValidateExecutionOptions uses, so a typo exits 2 with the
@@ -248,12 +283,18 @@ Result<Options> ParseArgs(int argc, char** argv) {
       ADAMANT_RETURN_NOT_OK(ParseExecutionModel(value).status());
       options.model = value;
     } else if (ParseFlag(arg, "chunk", &value)) {
-      options.chunk = value;
+      options.chunk_elems = 0;
+      if (value != "auto") {
+        ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.chunk_elems));
+        if (options.chunk_elems == 0) {
+          return Status::InvalidArgument("--chunk must be positive or auto");
+        }
+      }
     } else if (ParseFlag(arg, "kernel-variant", &value)) {
       ADAMANT_RETURN_NOT_OK(ParseKernelVariant(value).status());
       options.kernel_variant = value;
     } else if (ParseFlag(arg, "kernel-threads", &value)) {
-      options.kernel_threads = std::stoi(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.kernel_threads));
     } else if (ParseFlag(arg, "fusion", &value)) {
       ADAMANT_RETURN_NOT_OK(ParseFusionMode(value).status());
       options.fusion = value;
@@ -266,11 +307,11 @@ Result<Options> ParseArgs(int argc, char** argv) {
     } else if (arg == "--profile") {
       options.profile = true;
     } else if (ParseFlag(arg, "clients", &value)) {
-      options.clients = std::stoul(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.clients));
     } else if (ParseFlag(arg, "queries", &value)) {
-      options.serve_queries = std::stoul(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.serve_queries));
     } else if (ParseFlag(arg, "seed", &value)) {
-      options.seed = static_cast<unsigned>(std::stoul(value));
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.seed));
     } else if (ParseFlag(arg, "devices", &value)) {
       // Comma-separated ids select a device-parallel partition set; a bare
       // count keeps the serve-mode meaning (N instances) and, in
@@ -279,57 +320,42 @@ Result<Options> ParseArgs(int argc, char** argv) {
       if (value.find(',') != std::string::npos ||
           (!value.empty() && !std::isdigit(static_cast<unsigned char>(
                                  value.front())))) {
-        std::vector<std::string> tokens;
-        size_t pos = 0;
-        while (pos <= value.size()) {
-          const size_t comma = value.find(',', pos);
-          const std::string tok =
-              value.substr(pos, comma == std::string::npos ? std::string::npos
-                                                           : comma - pos);
-          if (!tok.empty()) tokens.push_back(tok);
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
+        const std::vector<std::string> tokens = SplitList(value);
         const bool named =
             !tokens.empty() &&
             !std::isdigit(static_cast<unsigned char>(tokens.front().front()));
         for (size_t t = 0; t < tokens.size(); ++t) {
+          DeviceId id = static_cast<DeviceId>(t);
           if (named) {
             options.device_classes.push_back(tokens[t]);
-            options.device_set.push_back(static_cast<DeviceId>(t));
           } else {
-            options.device_set.push_back(
-                static_cast<DeviceId>(std::stoi(tokens[t])));
+            ADAMANT_RETURN_NOT_OK(ParseNumber(arg, tokens[t], &id));
           }
+          options.device_set.push_back(id);
         }
         options.devices = options.device_set.size();
       } else {
-        options.devices = std::stoul(value);
+        ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.devices));
         for (size_t d = 0; d < options.devices; ++d) {
           options.device_set.push_back(static_cast<DeviceId>(d));
         }
       }
     } else if (ParseFlag(arg, "split", &value)) {
-      size_t pos = 0;
-      while (pos <= value.size()) {
-        const size_t comma = value.find(',', pos);
-        const std::string tok =
-            value.substr(pos, comma == std::string::npos ? std::string::npos
-                                                         : comma - pos);
-        if (!tok.empty()) options.device_split.push_back(std::stod(tok));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+      for (const std::string& tok : SplitList(value)) {
+        double share = 0;
+        ADAMANT_RETURN_NOT_OK(ParseNumber(arg, tok, &share));
+        options.device_split.push_back(share);
       }
     } else if (arg == "--no-rebalance") {
       options.no_rebalance = true;
     } else if (ParseFlag(arg, "fault-rate", &value)) {
-      options.fault_rate = std::stod(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.fault_rate));
     } else if (ParseFlag(arg, "fault-seed", &value)) {
-      options.fault_seed = std::stoull(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.fault_seed));
     } else if (ParseFlag(arg, "sticky-device", &value)) {
-      options.sticky_device = std::stoi(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.sticky_device));
     } else if (ParseFlag(arg, "deadline-ms", &value)) {
-      options.deadline_ms = std::stod(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.deadline_ms));
     } else if (ParseFlag(arg, "priority", &value)) {
       if (value == "high") {
         options.priority = QueryPriority::kHigh;
@@ -339,12 +365,16 @@ Result<Options> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--priority must be normal|high");
       }
     } else if (ParseFlag(arg, "watchdog-factor", &value)) {
-      options.watchdog_factor = std::stod(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.watchdog_factor));
     } else if (ParseFlag(arg, "stall-ms", &value)) {
-      options.stall_ms = std::stod(value);
+      ADAMANT_RETURN_NOT_OK(ParseNumber(arg, value, &options.stall_ms));
     } else if (arg == "--sequential") {
       options.sequential = true;
     } else if (ParseFlag(arg, "sql", &value)) {
+      if (sql::FindRegisteredQuery(value) != nullptr) {
+        return Status::InvalidArgument("--sql takes SQL text or a builtin "
+                                       "name; use --query=" + value);
+      }
       options.sql = value;
     } else if (ParseFlag(arg, "sql-file", &value)) {
       options.sql_file = value;
@@ -352,9 +382,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       options.list_queries = true;
     } else if (arg == "--serve") {
       options.serve = true;
-    } else if (arg == "--serve-sql") {
-      options.serve = true;
-      options.serve_sql = true;
     } else if (arg == "--no-cache") {
       options.no_cache = true;
     } else if (arg == "--verify") {
@@ -392,10 +419,10 @@ Result<sim::DriverKind> DriverFromName(const std::string& name) {
 // Options → ExecutionOptions for the execution knobs that run_tpch forwards
 // verbatim. The strings were validated at ParseArgs time (exit 2 on typos),
 // so the Parse* calls here cannot fail.
-ExecutionOptions MakeExecOptions(const Options& options,
-                                 ExecutionModelKind model) {
+ExecutionOptions MakeExecOptions(const Options& options) {
   ExecutionOptions exec_options;
-  exec_options.model = model;
+  exec_options.model = *ParseExecutionModel(options.model);
+  exec_options.chunk_elems = options.chunk_elems;
   if (!options.device_set.empty()) {
     exec_options.model = ExecutionModelKind::kDeviceParallel;
     exec_options.device_set = options.device_set;
@@ -408,41 +435,6 @@ ExecutionOptions MakeExecOptions(const Options& options,
   exec_options.kernel_threads = options.kernel_threads;
   exec_options.fusion = *ParseFusionMode(options.fusion);
   return exec_options;
-}
-
-// --explain: one line per primitive with the Task-layer kernel variant the
-// run would resolve (a forced --kernel-variant wins, kAuto means the owning
-// device's native policy — mirrors RunContext::FinalizeStats) and its thread
-// budget. Fused composites carry their recipe in the label.
-void PrintExplain(const std::string& title, const plan::PlanBundle& bundle,
-                  DeviceManager* manager, const ExecutionOptions& exec_options,
-                  const plan::FusionReport& fusion) {
-  std::printf("%s primitive graph (fusion %s: %d group(s), %d primitive(s) "
-              "fused):\n",
-              title.c_str(), FusionModeName(exec_options.fusion),
-              fusion.groups, fusion.nodes_fused);
-  for (const GraphNode& node : bundle.graph->nodes()) {
-    const SimulatedDevice* dev = manager->device(node.device);
-    const KernelVariant effective =
-        exec_options.kernel_variant == KernelVariantRequest::kScalar
-            ? KernelVariant::kScalar
-        : exec_options.kernel_variant == KernelVariantRequest::kParallel
-            ? KernelVariant::kParallel
-            : dev->default_kernel_variant();
-    const int threads = effective == KernelVariant::kParallel
-                            ? (exec_options.kernel_threads > 0
-                                   ? exec_options.kernel_threads
-                                   : dev->kernel_threads())
-                            : 1;
-    const bool fused_node = node.kind == PrimitiveKind::kFused ||
-                            node.kind == PrimitiveKind::kFusedAgg;
-    const std::string variant =
-        fused_node ? std::string("fused/") + KernelVariantName(effective)
-                   : std::string(KernelVariantName(effective));
-    std::printf("  [%2d] %-22s %-36s variant=%s threads=%d\n", node.id,
-                PrimitiveKindName(node.kind), node.label.c_str(),
-                variant.c_str(), threads);
-  }
 }
 
 // --explain-analyze: the measured OperatorStats tree next to the planner's
@@ -585,85 +577,81 @@ Status DumpMetrics(const std::string& path, const QueryService* service) {
   return Status::OK();
 }
 
-Result<plan::PlanBundle> BuildBundle(const std::string& query,
-                                     const Catalog& catalog, DeviceId device) {
-  if (query == "1") return plan::BuildQ1(catalog, {}, device);
-  if (query == "3") return plan::BuildQ3(catalog, {}, device);
-  if (query == "4") return plan::BuildQ4(catalog, {}, device);
-  if (query == "5") return plan::BuildQ5(catalog, {}, device);
-  if (query == "6") return plan::BuildQ6(catalog, {}, device);
-  if (query == "10") return plan::BuildQ10(catalog, {}, device);
-  if (query == "12") return plan::BuildQ12(catalog, {}, device);
-  if (query == "14") return plan::BuildQ14(catalog, {}, device);
-  return Status::InvalidArgument("unknown query '" + query + "'");
+// --explain (SQL): the placement search over every device candidate.
+Status PrintPlacement(const sql::PreparedQuery& prepared) {
+  ADAMANT_ASSIGN_OR_RETURN(
+      plan::PlacementSearchResult placement,
+      plan::SearchPlacements(*prepared.compiled->plan, *prepared.catalog,
+                             prepared.manager, prepared.options));
+  std::printf("placement: %s (simulated %.3f ms, %zu candidates)\n",
+              placement.best_name.c_str(),
+              sim::MsFromUs(placement.best_elapsed_us),
+              placement.evaluated.size());
+  if (placement.best_device_set.empty()) return Status::OK();
+  // The winner is a device-parallel split: the chosen set with each
+  // device's split ratio and predicted per-partition cost.
+  std::printf("split:");
+  for (size_t i = 0; i < placement.best_device_set.size(); ++i) {
+    std::printf(
+        " %s=%.3f",
+        prepared.manager->device(placement.best_device_set[i])->name().c_str(),
+        placement.best_split[i]);
+    if (i < placement.best_partition_cost_us.size()) {
+      std::printf(" (predicted %.3f ms/partition)",
+                  sim::MsFromUs(placement.best_partition_cost_us[i]));
+    }
+  }
+  std::printf("\n");
+  return Status::OK();
 }
 
-Status RunQuery(const std::string& query, const Catalog& catalog,
-                DeviceManager* manager, DeviceId device,
-                const Options& options, QueryService* service) {
-  ADAMANT_ASSIGN_OR_RETURN(ExecutionModelKind model,
-                           ParseExecutionModel(options.model));
-
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           BuildBundle(query, catalog, device));
-
-  ExecutionOptions exec_options = MakeExecOptions(options, model);
-
-  // Fusion is a plan-level rewrite: it runs here, between lowering and
-  // execution, so --explain, the chunk tuner, and the run itself all see
-  // the same (fused) graph.
-  ADAMANT_ASSIGN_OR_RETURN(plan::FusionReport fusion,
-                           plan::ApplyFusion(&bundle, exec_options, manager));
-
-  if (options.chunk == "auto") {
-    ADAMANT_ASSIGN_OR_RETURN(
-        exec_options.chunk_elems,
-        SuggestChunkElems(*manager->device(device), *bundle.graph));
-  } else {
-    exec_options.chunk_elems = std::stoull(options.chunk);
-  }
+// Prepares `source` (a registry name, a SQL builtin name or SQL text) and
+// explains it, or runs it and prints stats, results and the optional
+// verdict. A non-empty `label` replaces the prepared display name.
+Status RunQuery(const std::string& source, const std::string& label,
+                const Catalog& catalog, DeviceManager* manager,
+                DeviceId device, const Options& options,
+                QueryService* service) {
+  ADAMANT_ASSIGN_OR_RETURN(
+      sql::PreparedQuery prepared,
+      sql::Prepare(source, catalog, manager, device, MakeExecOptions(options)));
+  if (!label.empty()) prepared.label = label;
+  const std::string& name = prepared.label;
+  const ExecutionOptions& exec_options = prepared.options;
 
   if (options.explain) {
-    PrintExplain("Q" + query, bundle, manager, exec_options, fusion);
-    PrintSplitExplain(manager, *bundle.graph, exec_options);
+    std::printf("%s", prepared.Explain().c_str());
+    if (prepared.compiled) ADAMANT_RETURN_NOT_OK(PrintPlacement(prepared));
+    PrintSplitExplain(manager, *prepared.bundle.graph, exec_options);
     return Status::OK();
   }
 
   // With a service attached (--trace), the query goes through Submit so the
   // trace carries the admission/placement instants alongside the runtime
-  // spans; node ids are deterministic per builder — make_graph applies the
-  // same fusion pass — so the local bundle still extracts the serviced
-  // execution's results.
+  // spans. The factory's graphs keep the prepared bundle's node ids, so the
+  // local bundle still extracts the serviced execution's results.
   Result<QueryExecution> direct = Status::Internal("query did not run");
   std::shared_ptr<QueryTicket> ticket;
   if (service != nullptr) {
     QuerySpec spec;
-    spec.name = "Q" + query;
+    spec.name = name;
     spec.options = exec_options;
     if (exec_options.model == ExecutionModelKind::kDeviceParallel) {
       spec.parallel_devices = exec_options.device_set.size();
     }
-    const Catalog* cat = &catalog;
-    const std::string q = query;
-    const ExecutionOptions opts = exec_options;
-    spec.make_graph = [cat, q, opts, manager](
-                          DeviceId dev) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle b, BuildBundle(q, *cat, dev));
-      ADAMANT_RETURN_NOT_OK(plan::ApplyFusion(&b, opts, manager).status());
-      return std::move(b.graph);
-    };
+    spec.make_graph = prepared.GraphFactory();
     ADAMANT_ASSIGN_OR_RETURN(ticket, service->Submit(std::move(spec)));
     ADAMANT_RETURN_NOT_OK(ticket->Wait().status());
   } else {
     QueryExecutor executor(manager);
-    direct = executor.Run(bundle.graph.get(), exec_options);
+    direct = executor.Run(prepared.bundle.graph.get(), exec_options);
     ADAMANT_RETURN_NOT_OK(direct.status());
   }
   const QueryExecution& exec = service != nullptr ? *ticket->Wait() : *direct;
   const DeviceId report_device =
       service != nullptr ? ticket->placed_device() : device;
 
-  std::printf("Q%-3s on %s (%s, chunk %zu):\n", query.c_str(),
+  std::printf("%s on %s (%s, chunk %zu):\n", name.c_str(),
               manager->device(report_device)->name().c_str(),
               ExecutionModelName(exec_options.model), exec_options.chunk_elems);
   PrintStats(exec, report_device);
@@ -688,15 +676,15 @@ Status RunQuery(const std::string& query, const Catalog& catalog,
     if (!variants_json.empty()) {
       std::printf("    {\"query\":\"%s\",\"fused_groups\":%d,"
                   "\"kernel_variants\":{%s}}\n",
-                  query.c_str(), fusion.groups, variants_json.c_str());
+                  name.c_str(), prepared.fusion.groups, variants_json.c_str());
     }
   }
   if (options.profile) {
     std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
   }
   if (options.explain_analyze) {
-    PrintExplainAnalyze("Q" + query, exec.stats.profile.operators);
-    obs::RecordPlanQErrors(&obs::GlobalMetrics(), "Q" + query,
+    PrintExplainAnalyze(name, exec.stats.profile.operators);
+    obs::RecordPlanQErrors(&obs::GlobalMetrics(), name,
                            exec.stats.profile.operators);
   }
   if (exec_options.model == ExecutionModelKind::kDeviceParallel) {
@@ -727,284 +715,21 @@ Status RunQuery(const std::string& query, const Catalog& catalog,
                 "\"split_ratio\":{%s},\"chunks_stolen\":{%s},"
                 "\"rebalance\":%s,"
                 "\"merge_host_ms\":%.4f,\"elapsed_ms\":%.3f}\n",
-                query.c_str(), options.device_set.size(),
+                name.c_str(), options.device_set.size(),
                 chunks_json.c_str(), split_json.c_str(), stolen_json.c_str(),
                 exec_options.split_rebalance ? "true" : "false",
                 exec.stats.merge_host_ms,
                 sim::MsFromUs(exec.stats.elapsed_us));
   }
 
-  // Results + optional verification.
-  auto verdict = [&](bool match) {
-    std::printf("    verification: %s\n", match ? "MATCH" : "MISMATCH");
-    return match ? Status::OK()
-                 : Status::ExecutionError("Q" + query + " mismatch");
-  };
-  if (query == "6") {
-    ADAMANT_ASSIGN_OR_RETURN(int64_t revenue, plan::ExtractQ6(bundle, exec));
-    std::printf("    revenue = %.2f\n", MoneyToDouble(revenue));
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(int64_t want, tpch::Q6Reference(catalog, {}));
-      return verdict(revenue == want);
-    }
-  } else if (query == "3") {
-    ADAMANT_ASSIGN_OR_RETURN(auto rows,
-                             plan::ExtractQ3(bundle, exec, catalog, {}));
-    for (size_t i = 0; i < rows.size() && i < 3; ++i) {
-      std::printf("    order %d: revenue %.2f\n", rows[i].orderkey,
-                  MoneyToDouble(rows[i].revenue));
-    }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q3Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "4") {
-    ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ4(bundle, exec));
-    for (const auto& row : rows) {
-      std::printf("    priority %d: %lld orders\n", row.priority,
-                  static_cast<long long>(row.order_count));
-    }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q4Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "5") {
-    ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ5(bundle, exec, catalog));
-    for (const auto& row : rows) {
-      std::printf("    %-16s revenue %.2f\n", row.nation.c_str(),
-                  MoneyToDouble(row.revenue));
-    }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q5Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "1") {
-    ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ1(bundle, exec));
-    std::printf("    %zu (returnflag, linestatus) groups\n", rows.size());
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q1Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "10") {
-    ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ10(bundle, exec, {}));
-    for (size_t i = 0; i < rows.size() && i < 3; ++i) {
-      std::printf("    customer %d: lost revenue %.2f\n", rows[i].custkey,
-                  MoneyToDouble(rows[i].revenue));
-    }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q10Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "12") {
-    ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ12(bundle, exec));
-    for (const auto& row : rows) {
-      std::printf("    shipmode %d: high %lld, low %lld\n", row.shipmode,
-                  static_cast<long long>(row.high_line_count),
-                  static_cast<long long>(row.low_line_count));
-    }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q12Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "14") {
-    ADAMANT_ASSIGN_OR_RETURN(auto result, plan::ExtractQ14(bundle, exec));
-    std::printf("    promo revenue = %.2f%%\n", result.promo_pct());
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q14Reference(catalog, {}));
-      return verdict(result == want);
-    }
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// SQL mode: compile --sql / --sql-file text through the SQL frontend and run
-// the resulting logical plan through the same lowering/executor path the
-// hand-built plans use.
-// ---------------------------------------------------------------------------
-
-// Resolves --sql / --sql-file into query text + a display label. A --sql
-// value naming a built-in (see --list-queries) expands to its SQL.
-Result<std::pair<std::string, std::string>> ResolveSqlText(
-    const Options& options) {
-  if (!options.sql_file.empty()) {
-    std::ifstream in(options.sql_file);
-    if (!in.good()) {
-      return Status::IOError("cannot read --sql-file=" + options.sql_file);
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    return std::make_pair(std::move(text), options.sql_file);
-  }
-  if (const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery(options.sql)) {
-    return std::make_pair(builtin->sql, builtin->name);
-  }
-  return std::make_pair(options.sql, std::string("sql"));
-}
-
-Status RunSql(const Catalog& catalog, DeviceManager* manager, DeviceId device,
-              const Options& options, QueryService* service) {
-  ADAMANT_ASSIGN_OR_RETURN(ExecutionModelKind model,
-                           ParseExecutionModel(options.model));
-  ADAMANT_ASSIGN_OR_RETURN(auto resolved, ResolveSqlText(options));
-  const std::string& sql_text = resolved.first;
-  const std::string& label = resolved.second;
-
-  sql::PlannerOptions planner_options;
-  planner_options.manager = manager;
-  planner_options.cost_device = device;
-  ADAMANT_ASSIGN_OR_RETURN(sql::CompiledQuery compiled,
-                           sql::Compile(sql_text, catalog, planner_options));
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           plan::LowerPlan(*compiled.plan, catalog, device));
-
-  ExecutionOptions exec_options = MakeExecOptions(options, model);
-
-  // A service run (--trace) lowers the SQL text itself, without the fusion
-  // pass — fusing the local bundle would desync its node ids from the
-  // serviced execution it extracts results from. Direct runs (and
-  // --explain, which never executes the local bundle) fuse here.
-  plan::FusionReport fusion;
-  if (service == nullptr || options.explain) {
-    ADAMANT_ASSIGN_OR_RETURN(
-        fusion, plan::ApplyFusion(&bundle, exec_options, manager));
-  }
-
-  if (options.chunk == "auto") {
-    ADAMANT_ASSIGN_OR_RETURN(
-        exec_options.chunk_elems,
-        SuggestChunkElems(*manager->device(device), *bundle.graph));
-  } else {
-    exec_options.chunk_elems = std::stoull(options.chunk);
-  }
-
-  if (options.explain) {
-    std::printf("%s: %s\n%s", label.c_str(), sql_text.c_str(),
-                sql::ExplainCompiled(compiled).c_str());
-    PrintExplain(label, bundle, manager, exec_options, fusion);
-    ADAMANT_ASSIGN_OR_RETURN(
-        plan::PlacementSearchResult placement,
-        plan::SearchPlacements(*compiled.plan, catalog, manager,
-                               exec_options));
-    std::printf("placement: %s (simulated %.3f ms, %zu candidates)\n",
-                placement.best_name.c_str(),
-                sim::MsFromUs(placement.best_elapsed_us),
-                placement.evaluated.size());
-    if (!placement.best_device_set.empty()) {
-      // The winner is a device-parallel split: the chosen set with each
-      // device's split ratio and predicted per-partition cost.
-      std::printf("split:");
-      for (size_t i = 0; i < placement.best_device_set.size(); ++i) {
-        std::printf(" %s=%.3f",
-                    manager->device(placement.best_device_set[i])
-                        ->name()
-                        .c_str(),
-                    placement.best_split[i]);
-        if (i < placement.best_partition_cost_us.size()) {
-          std::printf(" (predicted %.3f ms/partition)",
-                      sim::MsFromUs(placement.best_partition_cost_us[i]));
-        }
-      }
-      std::printf("\n");
-    }
-    PrintSplitExplain(manager, *bundle.graph, exec_options);
-    return Status::OK();
-  }
-
-  // With a service attached (--trace), the query goes through Submit as SQL
-  // text; lowering is deterministic, so the local bundle's named sinks still
-  // extract the serviced execution's results.
-  Result<QueryExecution> direct = Status::Internal("query did not run");
-  std::shared_ptr<QueryTicket> ticket;
-  if (service != nullptr) {
-    QuerySpec spec;
-    spec.name = label;
-    spec.options = exec_options;
-    spec.sql = sql_text;
-    spec.sql_catalog = &catalog;
-    ADAMANT_ASSIGN_OR_RETURN(ticket, service->Submit(std::move(spec)));
-    ADAMANT_RETURN_NOT_OK(ticket->Wait().status());
-  } else {
-    QueryExecutor executor(manager);
-    direct = executor.Run(bundle.graph.get(), exec_options);
-    ADAMANT_RETURN_NOT_OK(direct.status());
-  }
-  const QueryExecution& exec = service != nullptr ? *ticket->Wait() : *direct;
-  const DeviceId report_device =
-      service != nullptr ? ticket->placed_device() : device;
-
-  std::printf("%s on %s (%s, chunk %zu):\n", label.c_str(),
-              manager->device(report_device)->name().c_str(),
-              ExecutionModelName(exec_options.model),
-              exec_options.chunk_elems);
-  PrintStats(exec, report_device);
-  if (options.profile) {
-    std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
-  }
-  if (options.explain_analyze) {
-    PrintExplainAnalyze(label, exec.stats.profile.operators);
-    obs::RecordPlanQErrors(&obs::GlobalMetrics(), label,
-                           exec.stats.profile.operators);
-  }
-
-  ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet results,
-                           sql::ExtractResults(compiled, bundle, exec));
-  std::printf("%s", sql::FormatResultSet(results, compiled, catalog).c_str());
-  if (options.verify) {
-    ADAMANT_RETURN_NOT_OK(
-        sql::VerifyAgainstInterpreter(compiled, bundle, exec, catalog));
-    std::printf("    verification: MATCH (host interpreter)\n");
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Serve mode: a seeded Q3/Q4/Q6 mix through the QueryService, each result
-// checked bit-for-bit against a serial single-query run.
-// ---------------------------------------------------------------------------
-
-struct ServeReference {
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  int64_t q6 = 0;
-  // Template bundles: node ids are deterministic per builder, so one bundle
-  // per query kind serves result extraction for every served execution.
-  plan::PlanBundle q3_bundle;
-  plan::PlanBundle q4_bundle;
-  plan::PlanBundle q6_bundle;
-};
-
-Result<ServeReference> BuildServeReference(const Catalog& catalog,
-                                           DeviceManager* manager,
-                                           const ExecutionOptions& exec_options) {
-  ServeReference ref;
-  QueryExecutor executor(manager);
-  ADAMANT_ASSIGN_OR_RETURN(ref.q3_bundle, plan::BuildQ3(catalog, {}, 0));
-  ADAMANT_ASSIGN_OR_RETURN(ref.q4_bundle, plan::BuildQ4(catalog, {}, 0));
-  ADAMANT_ASSIGN_OR_RETURN(ref.q6_bundle, plan::BuildQ6(catalog, {}, 0));
-  {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ3(catalog, {}, 0));
-    ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                             executor.Run(bundle.graph.get(), exec_options));
-    ADAMANT_ASSIGN_OR_RETURN(ref.q3,
-                             plan::ExtractQ3(bundle, exec, catalog, {}));
-  }
-  {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ4(catalog, {}, 0));
-    ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                             executor.Run(bundle.graph.get(), exec_options));
-    ADAMANT_ASSIGN_OR_RETURN(ref.q4, plan::ExtractQ4(bundle, exec));
-  }
-  {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ6(catalog, {}, 0));
-    ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                             executor.Run(bundle.graph.get(), exec_options));
-    ADAMANT_ASSIGN_OR_RETURN(ref.q6, plan::ExtractQ6(bundle, exec));
-  }
-  return ref;
+  ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet results, prepared.Results(exec));
+  std::printf("%s", prepared.Format(results).c_str());
+  if (!options.verify) return Status::OK();
+  // A registry query is checked against its tpch reference, other SQL
+  // against the host interpreter.
+  const Status verdict = prepared.Verify(exec);
+  std::printf("    verification: %s\n", verdict.ok() ? "MATCH" : "MISMATCH");
+  return verdict;
 }
 
 /// One served query that did not produce a usable result, for the
@@ -1033,8 +758,6 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
              int* exit_code) {
   ADAMANT_ASSIGN_OR_RETURN(sim::DriverKind kind,
                            DriverFromName(options.driver));
-  ADAMANT_ASSIGN_OR_RETURN(ExecutionModelKind model,
-                           ParseExecutionModel(options.model));
   const sim::HardwareSetup setup = options.setup == 2
                                        ? sim::HardwareSetup::kSetup2
                                        : sim::HardwareSetup::kSetup1;
@@ -1068,9 +791,11 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
     ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(device)));
   }
 
+  // Served graphs run unfused, like the service's own SQL path.
   ExecutionOptions exec_options;
-  exec_options.model = model;
-  exec_options.chunk_elems = std::stoull(options.chunk);
+  exec_options.model = *ParseExecutionModel(options.model);
+  exec_options.chunk_elems = options.chunk_elems;
+  exec_options.fusion = FusionMode::kOff;
 
   std::printf("serve: %zu devices (%s), %zu clients, %zu queries, seed %u, "
               "cache %s\n",
@@ -1098,37 +823,23 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
     ADAMANT_RETURN_NOT_OK(BindStandardKernels(clean->device(device)));
     ref_manager = clean.get();
   }
-  ServeReference ref;
-  // SQL serve mode references: the q3/q4/q6 built-ins compiled through the
-  // SQL frontend and run serially. The service compiles the same text, so
-  // the (deterministic) lowering's named sinks line up with these bundles.
-  const char* kSqlServeNames[3] = {"q3", "q4", "q6"};
-  std::vector<sql::CompiledQuery> sql_compiled;
-  std::vector<plan::PlanBundle> sql_bundles;
-  std::vector<sql::SqlResultSet> sql_refs;
-  if (options.serve_sql) {
-    QueryExecutor ref_executor(ref_manager);
-    for (const char* name : kSqlServeNames) {
-      const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery(name);
-      sql::PlannerOptions planner_options;
-      planner_options.manager = ref_manager;
-      ADAMANT_ASSIGN_OR_RETURN(
-          sql::CompiledQuery compiled,
-          sql::Compile(builtin->sql, *catalog, planner_options));
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::LowerPlan(*compiled.plan, *catalog, 0));
-      ADAMANT_ASSIGN_OR_RETURN(
-          QueryExecution exec,
-          ref_executor.Run(bundle.graph.get(), exec_options));
-      ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet rows,
-                               sql::ExtractResults(compiled, bundle, exec));
-      sql_compiled.push_back(std::move(compiled));
-      sql_bundles.push_back(std::move(bundle));
-      sql_refs.push_back(std::move(rows));
-    }
-  } else {
-    ADAMANT_ASSIGN_OR_RETURN(ref, BuildServeReference(*catalog, ref_manager,
-                                                      exec_options));
+  // The workload mixes registry queries 3, 4 and 6. Each is prepared once;
+  // its bundle reads both the serial reference and every served execution
+  // (unfused, so the factory never consults the reference manager).
+  const char* kServeMix[3] = {"3", "4", "6"};
+  std::vector<sql::PreparedQuery> prepared;
+  std::vector<sql::SqlResultSet> refs;
+  QueryExecutor ref_executor(ref_manager);
+  for (const char* name : kServeMix) {
+    ADAMANT_ASSIGN_OR_RETURN(
+        sql::PreparedQuery query,
+        sql::Prepare(name, *catalog, ref_manager, 0, exec_options));
+    ADAMANT_ASSIGN_OR_RETURN(
+        QueryExecution exec,
+        ref_executor.Run(query.bundle.graph.get(), query.options));
+    ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet rows, query.Results(exec));
+    prepared.push_back(std::move(query));
+    refs.push_back(std::move(rows));
   }
 
   ServiceConfig config;
@@ -1158,10 +869,10 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
   }
   QueryService service(&manager, config);
 
-  // Seeded workload: an even Q3/Q4/Q6 mix.
+  // Seeded workload: an even mix; SQL queries go in as QuerySpec::sql so
+  // the service compiles them, hand-built ones through make_graph.
   std::mt19937 rng(options.seed);
   std::uniform_int_distribution<int> pick(0, 2);
-  const Catalog* cat = catalog.get();
   std::vector<int> kinds;
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   std::vector<ServeErrorRecord> errors;
@@ -1169,38 +880,17 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
   tickets.reserve(options.serve_queries);
   for (size_t i = 0; i < options.serve_queries; ++i) {
     const int kind_ix = pick(rng);
+    const sql::PreparedQuery& query = prepared[static_cast<size_t>(kind_ix)];
     QuerySpec spec;
-    spec.options = exec_options;
+    spec.name = query.label;
+    spec.options = query.options;
     spec.deadline_ms = options.deadline_ms;
     spec.priority = options.priority;
-    if (options.serve_sql) {
-      spec.name = std::string("sql-") + kSqlServeNames[kind_ix];
-      spec.sql = sql::FindBuiltinQuery(kSqlServeNames[kind_ix])->sql;
-      spec.sql_catalog = cat;
-    } else if (kind_ix == 0) {
-      spec.name = "Q3";
-      spec.make_graph = [cat](DeviceId device)
-          -> Result<std::unique_ptr<PrimitiveGraph>> {
-        ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                                 plan::BuildQ3(*cat, {}, device));
-        return std::move(bundle.graph);
-      };
-    } else if (kind_ix == 1) {
-      spec.name = "Q4";
-      spec.make_graph = [cat](DeviceId device)
-          -> Result<std::unique_ptr<PrimitiveGraph>> {
-        ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                                 plan::BuildQ4(*cat, {}, device));
-        return std::move(bundle.graph);
-      };
+    if (query.compiled) {
+      spec.sql = query.text;
+      spec.sql_catalog = catalog.get();
     } else {
-      spec.name = "Q6";
-      spec.make_graph = [cat](DeviceId device)
-          -> Result<std::unique_ptr<PrimitiveGraph>> {
-        ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                                 plan::BuildQ6(*cat, {}, device));
-        return std::move(bundle.graph);
-      };
+      spec.make_graph = query.GraphFactory();
     }
     const std::string query_name = spec.name;
     Result<std::shared_ptr<QueryTicket>> submit =
@@ -1255,26 +945,10 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
       errors.push_back({i, tickets[i]->name(), "failed", st});
       continue;
     }
-    bool match = false;
-    if (options.serve_sql) {
-      const size_t k = static_cast<size_t>(kinds[i]);
-      ADAMANT_ASSIGN_OR_RETURN(
-          sql::SqlResultSet rows,
-          sql::ExtractResults(sql_compiled[k], sql_bundles[k], *result));
-      match = rows.rows == sql_refs[k].rows;
-    } else if (kinds[i] == 0) {
-      ADAMANT_ASSIGN_OR_RETURN(
-          auto rows, plan::ExtractQ3(ref.q3_bundle, *result, *catalog, {}));
-      match = rows == ref.q3;
-    } else if (kinds[i] == 1) {
-      ADAMANT_ASSIGN_OR_RETURN(auto rows,
-                               plan::ExtractQ4(ref.q4_bundle, *result));
-      match = rows == ref.q4;
-    } else {
-      ADAMANT_ASSIGN_OR_RETURN(int64_t revenue,
-                               plan::ExtractQ6(ref.q6_bundle, *result));
-      match = revenue == ref.q6;
-    }
+    const size_t k = static_cast<size_t>(kinds[i]);
+    ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet rows,
+                             prepared[k].Results(*result));
+    const bool match = rows.rows == refs[k].rows;
     if (!match) ++mismatches;
   }
   service.Drain();
@@ -1411,28 +1085,34 @@ Status Run(const Options& options, int* exit_code) {
     service = std::make_unique<QueryService>(&manager, config);
   }
 
-  // Queries.
-  std::vector<std::string> queries;
-  if (!options.sql.empty() || !options.sql_file.empty()) {
-    queries.clear();  // SQL mode replaces the built-in plan list.
-    ADAMANT_RETURN_NOT_OK(
-        RunSql(*catalog, &manager, device, options, service.get()));
-  } else if (options.query == "all") {
-    queries = {"1", "3", "4", "5", "6", "10", "12", "14"};
+  // Queries: --sql / --sql-file text, else the registry.
+  if (!options.sql_file.empty()) {
+    std::ifstream in(options.sql_file);
+    if (!in.good()) {
+      return Status::IOError("cannot read --sql-file=" + options.sql_file);
+    }
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (sql::FindRegisteredQuery(text) != nullptr) {
+      return Status::InvalidArgument("--sql-file holds a --query name");
+    }
+    ADAMANT_RETURN_NOT_OK(RunQuery(text, options.sql_file, *catalog, &manager,
+                                   device, options, service.get()));
+  } else if (!options.sql.empty()) {
+    ADAMANT_RETURN_NOT_OK(RunQuery(options.sql, "", *catalog, &manager,
+                                   device, options, service.get()));
   } else {
-    queries = {options.query};
-  }
-  for (const std::string& query : queries) {
-    if (query == "14" && !catalog->GetTable("part").ok()) {
-      std::printf("Q14 skipped (no part table)\n");
-      continue;
+    for (const sql::RegisteredQuery& query : sql::RegisteredQueries()) {
+      if (options.query != "all" && options.query != query.name) continue;
+      if (!query.needs_table.empty() &&
+          !catalog->GetTable(query.needs_table).ok()) {
+        std::printf("Q%s skipped (no %s table)\n", query.name.c_str(),
+                    query.needs_table.c_str());
+        continue;
+      }
+      ADAMANT_RETURN_NOT_OK(RunQuery(query.name, "", *catalog, &manager,
+                                     device, options, service.get()));
     }
-    if (query == "5" && !catalog->GetTable("region").ok()) {
-      std::printf("Q5 skipped (no region table)\n");
-      continue;
-    }
-    ADAMANT_RETURN_NOT_OK(RunQuery(query, *catalog, &manager, device, options,
-                                   service.get()));
   }
 
   if (service != nullptr) {
