@@ -68,12 +68,4 @@ sim::SimTime DeviceManager::MaxCompletion() const {
   return latest;
 }
 
-void DeviceManager::SetAsyncMode(bool async) {
-  for (auto& device : devices_) device->SetAsyncMode(async);
-}
-
-void DeviceManager::SynchronizeAll() {
-  for (auto& device : devices_) device->Synchronize();
-}
-
 }  // namespace adamant

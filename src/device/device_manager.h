@@ -56,12 +56,10 @@ class DeviceManager {
   void SetDataScale(double scale) { ctx_->data_scale = scale; }
   double data_scale() const { return ctx_->data_scale; }
 
-  /// Resets simulated time on every device (query boundary).
+  /// Resets simulated time on every device.
   void ResetAllTimelines();
   /// Latest completion time across all devices.
   sim::SimTime MaxCompletion() const;
-  void SetAsyncMode(bool async);
-  void SynchronizeAll();
 
  private:
   sim::HardwareSetup setup_;

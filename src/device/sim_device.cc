@@ -92,6 +92,7 @@ SimTime SimulatedDevice::ReadReadyTime(const Resolved& r) {
 Result<BufferId> SimulatedDevice::PrepareMemory(size_t bytes) {
   std::lock_guard<std::mutex> lock(call_mu_);
   ++stats_.prepare_memory;
+  ChargeAll([](DeviceCharges& c, int) { ++c.stats.prepare_calls; });
   ADAMANT_RETURN_NOT_OK(
       device_arena_.Allocate(ScaledBytes(bytes)).WithContext(name_));
   BufferId id = next_id_++;
@@ -102,6 +103,10 @@ Result<BufferId> SimulatedDevice::PrepareMemory(size_t bytes) {
   rec.storage.Resize(bytes);
   records_.emplace(id, std::move(rec));
   host_time_ += model_.alloc_us + model_.host_call_us;
+  ChargeAll([used = device_arena_.used()](DeviceCharges& c, int) {
+    c.stats.device_mem_high_water =
+        std::max(c.stats.device_mem_high_water, used);
+  });
   return id;
 }
 
@@ -118,6 +123,10 @@ Result<BufferId> SimulatedDevice::AddPinnedMemory(size_t bytes) {
   rec.storage.Resize(bytes);
   records_.emplace(id, std::move(rec));
   host_time_ += model_.pinned_alloc_us + model_.host_call_us;
+  ChargeAll([used = pinned_arena_.used()](DeviceCharges& c, int) {
+    c.stats.pinned_mem_high_water =
+        std::max(c.stats.pinned_mem_high_water, used);
+  });
   return id;
 }
 
@@ -125,6 +134,7 @@ Status SimulatedDevice::PlaceData(BufferId dst, const void* src, size_t bytes,
                                   size_t dst_offset) {
   std::lock_guard<std::mutex> lock(call_mu_);
   ++stats_.place_data;
+  ChargeAll([](DeviceCharges& c, int) { ++c.stats.place_calls; });
   if (src == nullptr) return Status::InvalidArgument("null source");
   ADAMANT_ASSIGN_OR_RETURN(Resolved r, Resolve(dst));
   if (dst_offset + bytes > r.record->bytes) {
@@ -138,13 +148,17 @@ Status SimulatedDevice::PlaceData(BufferId dst, const void* src, size_t bytes,
   SimTime wire = model_.TransferDuration(Scale(static_cast<double>(bytes)),
                                          TransferDirection::kHostToDevice,
                                          pinned);
-  transfer_wire_time_ += wire;
   SimTime duration = model_.transfer.latency_us + wire;
   host_time_ += model_.host_call_us;
   SimTime earliest = std::max(host_time_, WriteReadyTime(r));
   auto entry = transfer_tl_.Schedule(earliest, duration, "h2d");
   MarkWrite(r, entry.end);
   if (!async_mode_) host_time_ = entry.end;
+  ChargeAll([&](DeviceCharges& c, int pipeline) {
+    c.stats.transfer_wire_us += wire;
+    c.Book(duration, entry.end, pipeline, &DeviceRunStats::h2d_busy_us,
+           &PipelineBusy::h2d_us);
+  });
 
   std::memcpy(r.root->storage.data() + r.offset + dst_offset, src, bytes);
   return Status::OK();
@@ -154,6 +168,7 @@ Status SimulatedDevice::RetrieveData(BufferId src, void* dst, size_t bytes,
                                      size_t src_offset) {
   std::lock_guard<std::mutex> lock(call_mu_);
   ++stats_.retrieve_data;
+  ChargeAll([](DeviceCharges& c, int) { ++c.stats.retrieve_calls; });
   if (dst == nullptr) return Status::InvalidArgument("null destination");
   ADAMANT_ASSIGN_OR_RETURN(Resolved r, Resolve(src));
   if (src_offset + bytes > r.record->bytes) {
@@ -165,7 +180,6 @@ Status SimulatedDevice::RetrieveData(BufferId src, void* dst, size_t bytes,
   SimTime wire = model_.TransferDuration(Scale(static_cast<double>(bytes)),
                                          TransferDirection::kDeviceToHost,
                                          pinned);
-  transfer_wire_time_ += wire;
   SimTime duration = model_.transfer.latency_us + wire;
   host_time_ += model_.host_call_us;
   SimTime earliest = std::max(host_time_, ReadReadyTime(r));
@@ -173,6 +187,11 @@ Status SimulatedDevice::RetrieveData(BufferId src, void* dst, size_t bytes,
   MarkRead(r, entry.end);
   // The host consumes the bytes, so retrieval always blocks the host.
   host_time_ = entry.end;
+  ChargeAll([&](DeviceCharges& c, int pipeline) {
+    c.stats.transfer_wire_us += wire;
+    c.Book(duration, entry.end, pipeline, &DeviceRunStats::d2h_busy_us,
+           &PipelineBusy::d2h_us);
+  });
 
   std::memcpy(dst, r.root->storage.data() + r.offset + src_offset, bytes);
   return Status::OK();
@@ -278,6 +297,7 @@ Result<BufferId> SimulatedDevice::CreateChunk(BufferId parent, size_t bytes,
 Status SimulatedDevice::Execute(const KernelLaunch& launch) {
   std::lock_guard<std::mutex> lock(call_mu_);
   ++stats_.execute;
+  ChargeAll([](DeviceCharges& c, int) { ++c.stats.execute_calls; });
   if (!initialized_) {
     return Status::ExecutionError("device " + name_ + " not initialized");
   }
@@ -325,7 +345,7 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
       fn = vit->second;
       used_threads =
           launch.num_threads > 0 ? launch.num_threads : kernel_threads_;
-      ++parallel_launches_;
+      ChargeAll([](DeviceCharges& c, int) { ++c.stats.parallel_launches; });
     } else {
       used_variant = KernelVariant::kScalar;
     }
@@ -334,7 +354,10 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
     used_threads = kernel_threads_;
   }
 
-  if (launch.kernel_name == "fused") ++fused_launches_;
+  const bool fused = launch.kernel_name == "fused";
+  if (fused) {
+    ChargeAll([](DeviceCharges& c, int) { ++c.stats.fused_launches; });
+  }
 
   // Resolve buffer arguments and collect dependency times.
   std::vector<void*> pointers(launch.args.size(), nullptr);
@@ -373,9 +396,6 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
     body *= sim::ParallelKernelSpeedup(kernel_threads_, tuples) /
             sim::ParallelKernelSpeedup(used, tuples);
   }
-  kernel_body_time_ += body;
-  kernel_body_by_name_[launch.kernel_name] += body;
-  if (launch.kernel_name == "fused") fused_body_time_ += body;
   SimTime duration = model_.kernel_launch_us + body;
   SimTime earliest = std::max(host_time_, deps);
   auto entry = compute_tl_.Schedule(earliest, duration, launch.kernel_name);
@@ -386,6 +406,13 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
     if (arg.writes_buffer()) MarkWrite(resolved[i], entry.end);
   }
   if (!async_mode_) host_time_ = entry.end;
+  ChargeAll([&](DeviceCharges& c, int pipeline) {
+    c.stats.kernel_body_us += body;
+    c.stats.kernel_body_by_name[launch.kernel_name] += body;
+    if (fused) c.stats.fused_body_us += body;
+    c.Book(duration, entry.end, pipeline, &DeviceRunStats::compute_busy_us,
+           &PipelineBusy::compute_us);
+  });
 
   // Run the actual computation now, in issue order.
   KernelExecContext ctx(std::move(pointers), std::move(sizes), launch.args,
@@ -409,6 +436,20 @@ void SimulatedDevice::InjectDelay(SimTime delay_us) {
   std::lock_guard<std::mutex> lock(call_mu_);
   auto entry = compute_tl_.Schedule(host_time_, delay_us, "fault.delay");
   host_time_ = std::max(host_time_, entry.end);
+  ChargeAll([&](DeviceCharges& c, int pipeline) {
+    c.Book(delay_us, entry.end, pipeline, &DeviceRunStats::compute_busy_us,
+           &PipelineBusy::compute_us);
+  });
+}
+
+void SimulatedDevice::Barrier(SimTime at) {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  transfer_tl_.Schedule(at, 0, "dp-barrier");
+  d2h_tl_.Schedule(at, 0, "dp-barrier");
+  compute_tl_.Schedule(at, 0, "dp-barrier");
+  ChargeAll([at](DeviceCharges& c, int) {
+    c.completion = std::max(c.completion, at);
+  });
 }
 
 SimTime SimulatedDevice::MaxCompletion() const {
@@ -423,18 +464,42 @@ SimTime SimulatedDevice::MaxCompletionLocked() const {
 
 void SimulatedDevice::ResetTimelines() {
   std::lock_guard<std::mutex> lock(call_mu_);
+  ResetTimelinesLocked();
+}
+
+void SimulatedDevice::ResetTimelinesLocked() {
   transfer_tl_.Reset();
   d2h_tl_.Reset();
   compute_tl_.Reset();
   host_time_ = 0;
-  kernel_body_time_ = 0;
-  fused_body_time_ = 0;
-  kernel_body_by_name_.clear();
-  transfer_wire_time_ = 0;
+  totals_ = DeviceCharges{};
   for (auto& [id, rec] : records_) {
     rec.ready_at = 0;
     rec.last_read_end = 0;
   }
+}
+
+void SimulatedDevice::JoinRun(RunLedger* ledger) {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  if (active_runs_++ == 0) {
+    ResetTimelinesLocked();
+    ResetStats();
+    device_arena_.ResetHighWater();
+    pinned_arena_.ResetHighWater();
+  }
+  DeviceCharges& run = ledger->Charges(this);
+  run.joined_at = host_time_;
+  run.completion = host_time_;
+  run.stats.device_mem_high_water = device_arena_.used();
+  run.stats.pinned_mem_high_water = pinned_arena_.used();
+}
+
+void SimulatedDevice::LeaveRun(RunLedger* ledger) {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  ADAMANT_CHECK(active_runs_ > 0) << name_ << ": LeaveRun without JoinRun";
+  --active_runs_;
+  DeviceCharges& run = ledger->Charges(this);
+  run.completion = std::max(run.completion, host_time_);
 }
 
 Result<void*> SimulatedDevice::DebugBufferPtr(BufferId id) {

@@ -11,6 +11,7 @@
 
 #include "common/aligned_buffer.h"
 #include "device/device.h"
+#include "device/run_ledger.h"
 #include "device/sim_context.h"
 #include "sim/memory_arena.h"
 #include "sim/perf_model.h"
@@ -40,11 +41,11 @@ struct DeviceCallStats {
 /// Thread safety: every interface call and simulation-control call locks a
 /// per-device mutex, so concurrent queries may share one device (the service
 /// layer's slot table allows this with slots_per_device > 1). Results stay
-/// exact under sharing; the *timing* accounting interleaves both queries'
-/// operations onto the same timelines, so per-query simulated stats are only
-/// meaningful when the device is leased exclusively. The stats/timeline
-/// accessors themselves are unsynchronized and are meant for exclusive
-/// leases (the default).
+/// exact under sharing, and so does per-run accounting: every cost is
+/// charged both to the device's own account and to the RunLedger current on
+/// the calling thread. The device-wide stats/timeline accessors are
+/// unsynchronized; they serve tests and microbenchmarks that drive the
+/// device directly.
 ///
 /// Concurrency model: the device has a transfer engine and a compute engine
 /// (two ResourceTimelines) plus a host cursor (`host_time_`). In synchronous
@@ -109,9 +110,9 @@ class SimulatedDevice : public Device {
   KernelVariant default_kernel_variant() const { return default_variant_; }
   int kernel_threads() const { return kernel_threads_; }
   /// Number of Execute calls that dispatched a parallel variant fn.
-  size_t parallel_launches() const { return parallel_launches_; }
+  size_t parallel_launches() const { return totals_.stats.parallel_launches; }
   /// Number of Execute calls that ran the fused composite kernel.
-  size_t fused_launches() const { return fused_launches_; }
+  size_t fused_launches() const { return totals_.stats.fused_launches; }
 
   // --- Simulation control (used by the runtime layer, not part of the
   //     paper's device interface) ---
@@ -132,8 +133,21 @@ class SimulatedDevice : public Device {
   /// Latest completion across host, transfer and compute.
   sim::SimTime MaxCompletion() const;
 
-  /// Clears all simulated time (buffers survive, their timestamps reset).
+  /// Clears all simulated time and the device's own account (buffers
+  /// survive, their timestamps reset).
   void ResetTimelines();
+
+  /// Joins a run that charges `ledger`. A run that finds no other run
+  /// active on the device has it to itself, so its timelines, account, call
+  /// stats and arena high-water marks restart from zero first; a run that
+  /// shares the device leaves them alone. Pairs with LeaveRun, which closes
+  /// the run's span on the device clock at the host cursor.
+  void JoinRun(RunLedger* ledger);
+  void LeaveRun(RunLedger* ledger);
+
+  /// Advances all three engines to `at` with zero-length bookings (the
+  /// device-parallel model's cross-device barrier before a merge).
+  void Barrier(sim::SimTime at);
 
   /// H2D and D2H run on separate copy engines (as on discrete GPUs), so
   /// result readbacks do not serialize against the input chunk stream.
@@ -143,24 +157,22 @@ class SimulatedDevice : public Device {
   sim::SimTime host_time() const { return host_time_; }
   /// Sum of pure kernel-body time (launch/mapping overheads excluded) —
   /// the "sum of processing time of the individual primitives" of Fig. 10.
-  sim::SimTime kernel_body_time() const { return kernel_body_time_; }
+  sim::SimTime kernel_body_time() const { return totals_.stats.kernel_body_us; }
   /// Kernel-body time split by kernel name (per-primitive profile of a run).
   const std::map<std::string, sim::SimTime>& kernel_body_by_name() const {
-    return kernel_body_by_name_;
+    return totals_.stats.kernel_body_by_name;
   }
   /// Share of kernel_body_time() spent inside fused composite kernels.
-  sim::SimTime fused_body_time() const { return fused_body_time_; }
+  sim::SimTime fused_body_time() const { return totals_.stats.fused_body_us; }
   /// Sum of pure wire time across transfers.
-  sim::SimTime transfer_wire_time() const { return transfer_wire_time_; }
+  sim::SimTime transfer_wire_time() const {
+    return totals_.stats.transfer_wire_us;
+  }
 
   sim::MemoryArena& device_arena() { return device_arena_; }
   sim::MemoryArena& pinned_arena() { return pinned_arena_; }
   const DeviceCallStats& stats() const { return stats_; }
-  void ResetStats() {
-    stats_ = DeviceCallStats{};
-    parallel_launches_ = 0;
-    fused_launches_ = 0;
-  }
+  void ResetStats() { stats_ = DeviceCallStats{}; }
 
   /// Direct access to a buffer's backing bytes — for tests only; the
   /// runtime always goes through PlaceData/RetrieveData.
@@ -208,6 +220,18 @@ class SimulatedDevice : public Device {
 
   /// Completion time without taking call_mu_ (callers hold the lock).
   sim::SimTime MaxCompletionLocked() const;
+  void ResetTimelinesLocked();
+
+  /// Applies `charge(account, pipeline)` to the device's own account and to
+  /// the calling thread's run, if one is installed, with the run's open
+  /// pipeline (-1 for the device's account). Callers hold call_mu_.
+  template <typename Charge>
+  void ChargeAll(const Charge& charge) {
+    charge(totals_, -1);
+    if (RunLedger* ledger = RunLedger::Current()) {
+      charge(ledger->Charges(this), ledger->pipeline());
+    }
+  }
 
   std::string name_;
   sim::DevicePerfModel model_;
@@ -229,8 +253,6 @@ class SimulatedDevice : public Device {
   /// constant, never hardware_concurrency — simulated time must not depend
   /// on the host machine).
   int kernel_threads_ = 4;
-  size_t parallel_launches_ = 0;
-  size_t fused_launches_ = 0;
 
   sim::MemoryArena device_arena_;
   sim::MemoryArena pinned_arena_;
@@ -242,11 +264,12 @@ class SimulatedDevice : public Device {
   // (each Execute/Place call reads it under call_mu_).
   std::atomic<bool> async_mode_{false};
   bool initialized_ = false;
+  /// Runs between JoinRun and LeaveRun (guarded by call_mu_).
+  int active_runs_ = 0;
 
-  sim::SimTime kernel_body_time_ = 0;
-  sim::SimTime fused_body_time_ = 0;
-  std::map<std::string, sim::SimTime> kernel_body_by_name_;
-  sim::SimTime transfer_wire_time_ = 0;
+  /// The device's own account since the last reset: what the device-wide
+  /// accessors report.
+  DeviceCharges totals_;
   DeviceCallStats stats_;
 };
 

@@ -30,7 +30,8 @@ double QError(double predicted, double actual) {
   return std::max(p / a, a / p);
 }
 
-std::string QueryProfile::ToJson() const {
+std::string QueryProfile::ToJson(
+    const std::vector<DeviceRunStats>& devices) const {
   std::ostringstream out;
   out << "{\"queue_wait_ms\":" << Ms(queue_wait_ms);
   if (!cancelled_cause.empty()) {
@@ -57,17 +58,19 @@ std::string QueryProfile::ToJson() const {
     out << "]}";
   }
   out << "],\"devices\":[";
-  for (size_t i = 0; i < devices.size(); ++i) {
-    const DeviceProfile& device = devices[i];
-    if (i) out << ",";
+  bool first = true;
+  for (const DeviceRunStats& device : devices) {
+    if (device.kernel_variant.empty()) continue;
+    if (!first) out << ",";
+    first = false;
     out << "{\"name\":\"" << JsonEscape(device.name)
-        << "\",\"transfer_ms\":" << Ms(device.transfer_ms)
-        << ",\"d2h_ms\":" << Ms(device.d2h_ms)
-        << ",\"compute_ms\":" << Ms(device.compute_ms)
-        << ",\"kernel_body_ms\":" << Ms(device.kernel_body_ms)
-        << ",\"kernel_launches\":" << device.kernel_launches
+        << "\",\"transfer_ms\":" << Ms(device.h2d_busy_us / 1000.0)
+        << ",\"d2h_ms\":" << Ms(device.d2h_busy_us / 1000.0)
+        << ",\"compute_ms\":" << Ms(device.compute_busy_us / 1000.0)
+        << ",\"kernel_body_ms\":" << Ms(device.kernel_body_us / 1000.0)
+        << ",\"kernel_launches\":" << device.execute_calls
         << ",\"fused_launches\":" << device.fused_launches
-        << ",\"fused_body_ms\":" << Ms(device.fused_body_ms) << "}";
+        << ",\"fused_body_ms\":" << Ms(device.fused_body_us / 1000.0) << "}";
   }
   out << "]";
   if (!operators.empty()) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -32,18 +33,36 @@ struct PipelineProfile {
   std::vector<PipelineDeviceSlice> devices;
 };
 
-/// Whole-run totals for one device across all pipelines.
-struct DeviceProfile {
+/// One run's totals on one device, charged per operation into the run's
+/// ledger (device/run_ledger.h) and exported as QueryStats::devices.
+/// Times are simulated microseconds.
+struct DeviceRunStats {
   std::string name;
-  double transfer_ms = 0;  // H2D
-  double d2h_ms = 0;
-  double compute_ms = 0;
-  double kernel_body_ms = 0;
-  size_t kernel_launches = 0;
-  /// Fused-composite launches and their share of kernel_body_ms, split out
-  /// so fusion wins are attributable (kernel_launches counts them too).
+  double h2d_busy_us = 0;
+  double d2h_busy_us = 0;
+  double compute_busy_us = 0;
+  double kernel_body_us = 0;
+  /// Per-primitive-kernel body time ("map" -> us, "hash_build" -> us, ...).
+  std::map<std::string, double> kernel_body_by_name;
+  double transfer_wire_us = 0;
+  size_t execute_calls = 0;
+  size_t place_calls = 0;
+  size_t retrieve_calls = 0;
+  size_t prepare_calls = 0;
+  /// Peak arena use while the run was active (nominal bytes).
+  size_t device_mem_high_water = 0;
+  size_t pinned_mem_high_water = 0;
+  /// Task-layer variant policy the device ran under ("scalar"|"parallel"),
+  /// its thread budget, and how many Execute calls dispatched a parallel
+  /// variant fn — so benchmark output is self-describing. An empty
+  /// kernel_variant marks a device the run did not touch.
+  std::string kernel_variant;
+  int kernel_threads = 0;
+  size_t parallel_launches = 0;
+  /// Execute calls that ran a FUSED composite kernel on this device, and
+  /// the share of kernel_body_us spent inside them.
   size_t fused_launches = 0;
-  double fused_body_ms = 0;
+  double fused_body_us = 0;
 };
 
 /// One operator's share of one run on one partition device. Single-device
@@ -114,13 +133,11 @@ struct OperatorStats {
 /// finite error instead of inf.
 double QError(double predicted, double actual);
 
-/// The paper's Fig. 10/11-style phase breakdown for one live query:
-/// where did the time go — queue wait, device transfer vs compute per
-/// pipeline and per device, host-side merges. Filled by the executor when
-/// ExecutionOptions::collect_profile is set; queue_wait_ms is stamped by
-/// the service layer. All times are milliseconds.
+/// The paper's Fig. 10/11-style phase breakdown for one query run: where
+/// did the time go — queue wait, device transfer vs compute per pipeline,
+/// host-side merges. Filled by the executor on every run; queue_wait_ms is
+/// stamped by the service layer. All times are milliseconds.
 struct QueryProfile {
-  bool collected = false;
   /// Why the run ended early, or empty for a completed run: "user",
   /// "deadline", or "watchdog" (CancelCauseToString of the tripped token).
   std::string cancelled_cause;
@@ -128,12 +145,13 @@ struct QueryProfile {
   double run_ms = 0;
   double merge_host_ms = 0;
   std::vector<PipelineProfile> pipelines;
-  std::vector<DeviceProfile> devices;
   /// EXPLAIN ANALYZE tree (node-id order), present when the run collected
   /// operator stats.
   std::vector<OperatorStats> operators;
 
-  std::string ToJson() const;
+  /// The profile as JSON; its "devices" array renders the run's per-device
+  /// totals (QueryStats::devices), skipping devices the run did not touch.
+  std::string ToJson(const std::vector<DeviceRunStats>& devices = {}) const;
 };
 
 /// Observes every operator's selectivity and cost q-error into the

@@ -24,8 +24,10 @@ namespace {
 /// Keeping the contexts fully disjoint (own graph, own bindings, own hub,
 /// own persists) is what makes the partition threads race-free — the only
 /// shared mutable state is the scan cache and memory ledger, which lock
-/// internally, the rebalancing pool, which holds one mutex, and each
-/// SimulatedDevice, which only its own thread touches between joins.
+/// internally, the rebalancing pool, which holds one mutex, each
+/// SimulatedDevice, which only its own thread touches between joins, and
+/// the run ledger, whose per-device records each device charges under its
+/// own call mutex.
 struct SubRun {
   DeviceId device = 0;
   std::unique_ptr<PrimitiveGraph> graph;
@@ -37,14 +39,6 @@ struct SubRun {
   double observed_us = 0;
 };
 
-/// Simulated busy time accumulated on a device across all three resource
-/// timelines. Only the partition thread that owns the device may call this
-/// mid-pipeline (the accessors are unsynchronized).
-sim::SimTime DeviceBusy(SimulatedDevice& dev) {
-  return dev.transfer_timeline().busy_time() + dev.d2h_timeline().busy_time() +
-         dev.compute_timeline().busy_time();
-}
-
 /// Runtime rebalancing pool for one pipeline: partitions claim their
 /// contiguous ranges chunk by chunk, and a partition that runs ahead on the
 /// *simulated* clock steals whole chunks from the slowest partition's
@@ -55,7 +49,7 @@ sim::SimTime DeviceBusy(SimulatedDevice& dev) {
 /// differs), so wall-clock work stealing would never fire here. Instead
 /// each partition carries a virtual clock `t` — the simulated cost of the
 /// chunks it has claimed, charged with the current per-chunk estimate at
-/// claim time and corrected to the device's observed timeline delta on
+/// claim time and corrected to the chunk's observed busy time on
 /// completion — and claims are admitted in virtual-time order: a partition
 /// may take its next chunk only while its clock is minimal among live
 /// partitions. That serializes *claims* (not execution) exactly the way
@@ -142,7 +136,7 @@ class StealPool {
   }
 
   /// Folds one executed chunk back in: replaces the charged estimate with
-  /// the device's observed timeline delta and refines the per-chunk cost.
+  /// the chunk's observed busy time and refines the per-chunk cost.
   void Complete(size_t i, double observed_us) {
     std::lock_guard<std::mutex> lk(mu_);
     Part& me = parts_[i];
@@ -222,11 +216,15 @@ class StealPool {
 };
 
 /// One partition's chunk loop under the rebalancing pool: claim, execute,
-/// fold the observed cost back in, repeat until the pool runs dry.
+/// fold the observed cost back in, repeat until the pool runs dry. A chunk's
+/// observed cost is the busy time the run's ledger charged to this
+/// partition's device while the chunk ran.
 Status RunPartitionRebalanced(RunContext& sub, const Pipeline& pipeline,
                               size_t cap, size_t total_chunks, StealPool& pool,
                               size_t i, SimulatedDevice* dev,
                               double* observed_us) {
+  RunLedger::Scope charge_to(&sub.ledger());
+  const DeviceCharges& charges = sub.ledger().Charges(dev);
   Status st = sub.BeginPipeline(pipeline, total_chunks);
   if (!st.ok()) {
     pool.Fail();
@@ -236,14 +234,13 @@ Status RunPartitionRebalanced(RunContext& sub, const Pipeline& pipeline,
     auto claim = pool.Claim(i);
     if (!claim.ok()) return claim.status();
     if (!claim->has) return Status::OK();
-    const sim::SimTime busy_before = DeviceBusy(*dev);
+    const sim::SimTime busy_before = charges.busy_us();
     st = sub.RunChunks(pipeline, claim->chunk, claim->chunk + 1, cap);
     if (!st.ok()) {
       pool.Fail();
       return st;
     }
-    const double observed =
-        static_cast<double>(DeviceBusy(*dev) - busy_before);
+    const double observed = charges.busy_us() - busy_before;
     *observed_us += observed;
     pool.Complete(i, observed);
   }
@@ -261,9 +258,7 @@ Status ScheduleBarrier(DeviceManager* manager,
   }
   for (DeviceId id : devices) {
     ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager->GetDevice(id));
-    dev->transfer_timeline().Schedule(barrier, 0, "dp-barrier");
-    dev->d2h_timeline().Schedule(barrier, 0, "dp-barrier");
-    dev->compute_timeline().Schedule(barrier, 0, "dp-barrier");
+    dev->Barrier(barrier);
   }
   return Status::OK();
 }
@@ -369,32 +364,6 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
   const bool rebalance = ctx.options().split_rebalance && subs.size() > 1;
   std::vector<std::string> names;
   for (DeviceId id : devices) names.push_back(ctx.manager()->device(id)->name());
-  // Per-pipeline device slices for the profile: the sub-contexts run with
-  // reset_device_state=false (the parent owns the snapshot), so the parent
-  // thread samples each device's busy time at the pipeline boundaries —
-  // safe here because the partition threads are joined at both sample
-  // points and the lease is exclusive (parent reset_device_state).
-  const bool profile = ctx.options().collect_profile &&
-                       ctx.options().reset_device_state;
-  struct Busy {
-    sim::SimTime h2d = 0;
-    sim::SimTime d2h = 0;
-    sim::SimTime compute = 0;
-  };
-  auto sample_busy = [&ctx, &devices]() {
-    std::vector<Busy> samples;
-    for (DeviceId id : devices) {
-      Busy busy;
-      auto dev = ctx.manager()->GetDevice(id);
-      if (dev.ok()) {
-        busy.h2d = (*dev)->transfer_timeline().busy_time();
-        busy.d2h = (*dev)->d2h_timeline().busy_time();
-        busy.compute = (*dev)->compute_timeline().busy_time();
-      }
-      samples.push_back(busy);
-    }
-    return samples;
-  };
   for (size_t pi = 0; pi < pipelines.size(); ++pi) {
     const Pipeline& pipeline = pipelines[pi];
     const size_t cap = ctx.ChunkCapacity(pipeline);
@@ -412,8 +381,7 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
       }
     }
     const auto pipeline_t0 = std::chrono::steady_clock::now();
-    const std::vector<Busy> busy_before = profile ? sample_busy()
-                                                  : std::vector<Busy>{};
+    ctx.ledger().set_pipeline(static_cast<int>(pi));
 
     // Every partition runs its chunk sub-range concurrently — statically
     // when rebalancing is off, through the claim/steal pool when on. A
@@ -429,9 +397,7 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
       RunContext* sub = subs[i].ctx.get();
       const Pipeline* sub_pipeline = &sub->pipelines()[pi];
       Status* status = &statuses[i];
-      auto dev = ctx.manager()->GetDevice(subs[i].device);
-      if (!dev.ok()) return dev.status();
-      SimulatedDevice* device = *dev;
+      SimulatedDevice* device = ctx.manager()->device(subs[i].device);
       double* observed = &subs[i].observed_us;
       const size_t total = chunks.total();
       threads.emplace_back([sub, sub_pipeline, cap, total, &pool, i, device,
@@ -471,30 +437,12 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
       ADAMANT_RETURN_NOT_OK(
           sub.ctx->BindPersistOutputs(sub.ctx->pipelines()[pi]));
     }
-    if (profile) {
-      const std::vector<Busy> busy_after = sample_busy();
-      obs::PipelineProfile pp;
-      pp.index = static_cast<int>(pi);
-      pp.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - pipeline_t0)
-                       .count();
-      pp.chunks = chunks.total();
-      for (size_t i = 0; i < devices.size(); ++i) {
-        obs::PipelineDeviceSlice slice;
-        slice.device = static_cast<int>(devices[i]);
-        slice.transfer_ms =
-            static_cast<double>(busy_after[i].h2d - busy_before[i].h2d) /
-            1000.0;
-        slice.d2h_ms =
-            static_cast<double>(busy_after[i].d2h - busy_before[i].d2h) /
-            1000.0;
-        slice.compute_ms = static_cast<double>(busy_after[i].compute -
-                                               busy_before[i].compute) /
-                           1000.0;
-        pp.devices.push_back(slice);
-      }
-      ctx.exec().stats.profile.pipelines.push_back(std::move(pp));
-    }
+    ctx.RecordPipelineProfile(
+        static_cast<int>(pi),
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - pipeline_t0)
+            .count(),
+        chunks.total());
   }
 
   // Streaming terminal outputs: collect every partition's chunk parts and
@@ -642,13 +590,11 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
     sub_options.model = ExecutionModelKind::kChunked;
     sub_options.device_set.clear();
     sub_options.device_split.clear();
-    // The parent already reset/snapshots device state for the whole set,
-    // and collects the per-pipeline profile itself (around the partition
-    // threads' join points).
-    sub_options.reset_device_state = false;
-    sub_options.collect_profile = false;
+    // Partitions charge the parent's ledger, so the whole query accumulates
+    // in one account; the parent profiles each pipeline around the
+    // partition threads' join points.
     sub.ctx = std::make_unique<RunContext>(ctx.manager(), sub.graph.get(),
-                                           sub_options);
+                                           sub_options, &ctx.ledger());
     st = sub.ctx->Prepare();
     subs.push_back(std::move(sub));
     if (!st.ok()) break;
@@ -661,7 +607,11 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
   }
 
   // Fold partition accounting into the parent before its FinalizeStats
-  // (which adds, rather than assigns, exactly for this composition).
+  // (which adds, rather than assigns, exactly for this composition). Hub
+  // counters, chunks and the partial operator tree fold on every path, so
+  // a cancelled or failed run's stats sink still sees what the partitions
+  // moved; the split bookkeeping describes completed runs only.
+  for (const SubRun& sub : subs) ctx.Absorb(*sub.ctx);
   if (st.ok()) {
     QueryStats& stats = ctx.exec().stats;
     stats.merge_host_ms += merge_host_ms;
@@ -671,14 +621,7 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
     for (size_t i = 0; i < subs.size(); ++i) {
       const SubRun& sub = subs[i];
       const int id = static_cast<int>(sub.device);
-      const QueryStats& sub_stats = sub.ctx->exec().stats;
-      stats.chunks += sub_stats.chunks;
       stats.chunks_by_device[id] += sub.chunks_run;
-      stats.bytes_h2d += sub.ctx->hub().bytes_host_to_device();
-      stats.bytes_d2h += sub.ctx->hub().bytes_device_to_host();
-      stats.scan_cache_hits += sub.ctx->hub().scan_cache_hits();
-      stats.scan_cache_misses += sub.ctx->hub().scan_cache_misses();
-      stats.bytes_h2d_saved += sub.ctx->hub().bytes_h2d_saved();
       stats.split_ratio_by_device[id] = weights[i];
       stats.chunks_stolen_by_device[id] = sub.chunks_stolen;
       stolen_total += sub.chunks_stolen;
@@ -702,22 +645,9 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
         ->Add(static_cast<double>(stolen_total));
   }
 
-  // EXPLAIN ANALYZE: fold partition operator stats on every path — the
-  // partial tree of a cancelled or failed run still finalizes in the
-  // parent (sub-graphs are clones, so node ids line up).
-  if (ctx.options().collect_operator_stats) {
-    for (const SubRun& sub : subs) {
-      if (sub.ctx != nullptr) {
-        ctx.MergeOperatorStats(sub.ctx->operator_stats());
-      }
-    }
-  }
-
   // Partition cleanup on every path; the parent context's own ReleaseAll
   // runs in QueryExecutor::Run.
-  for (SubRun& sub : subs) {
-    if (sub.ctx != nullptr) sub.ctx->ReleaseAll();
-  }
+  for (SubRun& sub : subs) sub.ctx->ReleaseAll();
   return st;
 }
 

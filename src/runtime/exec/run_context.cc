@@ -13,7 +13,8 @@
 namespace adamant::exec {
 
 RunContext::RunContext(DeviceManager* manager, PrimitiveGraph* graph,
-                       const ExecutionOptions& options)
+                       const ExecutionOptions& options,
+                       RunLedger* shared_ledger)
     : manager_(manager),
       graph_(graph),
       options_(options),
@@ -24,7 +25,10 @@ RunContext::RunContext(DeviceManager* manager, PrimitiveGraph* graph,
              options.model == ExecutionModelKind::kFourPhasePipelined),
       hub_(manager, options.use_transform
                         ? DataContainer::WithDefaultTransforms()
-                        : DataContainer::WithoutTransforms()) {
+                        : DataContainer::WithoutTransforms()),
+      own_ledger_(shared_ledger == nullptr ? std::make_unique<RunLedger>()
+                                           : nullptr),
+      ledger_(shared_ledger == nullptr ? own_ledger_.get() : shared_ledger) {
   hub_.set_scan_cache(options.scan_cache);
   hub_.set_memory_listener(options.memory_listener);
   hub_.set_cancel_token(options.cancel_token);
@@ -56,11 +60,10 @@ Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
 
   for (DeviceId id : used_devices_) {
     ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager_->GetDevice(id));
-    if (options_.reset_device_state) {
-      dev->ResetTimelines();
-      dev->ResetStats();
-      dev->device_arena().ResetHighWater();
-      dev->pinned_arena().ResetHighWater();
+    // A partition runs inside its parent's membership.
+    if (own_ledger_ != nullptr) {
+      dev->JoinRun(ledger_);
+      joined_.push_back(dev);
     }
     dev->SetAsyncMode(async_);
   }
@@ -82,39 +85,38 @@ void RunContext::ClosePipeline() {
   if (cur_pipeline_index_ < 0) return;
   const int index = cur_pipeline_index_;
   cur_pipeline_index_ = -1;
-  if (!options_.collect_profile) return;
+  // A partition's pipelines are profiled by the run that owns the ledger.
+  if (own_ledger_ == nullptr) return;
+  RecordPipelineProfile(
+      index,
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - pipeline_start_)
+          .count(),
+      exec_.stats.chunks - pipeline_chunk_start_);
+}
+
+void RunContext::RecordPipelineProfile(int index, double wall_ms,
+                                       size_t chunks) {
   obs::PipelineProfile profile;
   profile.index = index;
   profile.cancelled =
       options_.cancel_token != nullptr && options_.cancel_token->cancelled();
-  profile.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - pipeline_start_)
-          .count();
-  profile.chunks = exec_.stats.chunks - pipeline_chunk_start_;
-  // Per-device busy deltas need the devices' unsynchronized timeline
-  // accessors — exclusive-lease runs only (see FinalizeStats).
-  if (options_.reset_device_state) {
-    for (const auto& [id, snapshot] : pipeline_busy_snapshot_) {
-      auto dev = manager_->GetDevice(id);
-      if (!dev.ok()) continue;
-      obs::PipelineDeviceSlice slice;
-      slice.device = static_cast<int>(id);
-      slice.transfer_ms =
-          static_cast<double>((*dev)->transfer_timeline().busy_time() -
-                              snapshot.h2d) /
-          1000.0;
-      slice.d2h_ms = static_cast<double>((*dev)->d2h_timeline().busy_time() -
-                                         snapshot.d2h) /
-                     1000.0;
-      slice.compute_ms =
-          static_cast<double>((*dev)->compute_timeline().busy_time() -
-                              snapshot.compute) /
-          1000.0;
-      profile.devices.push_back(slice);
+  profile.wall_ms = wall_ms;
+  profile.chunks = chunks;
+  for (DeviceId id : used_devices_) {
+    auto dev = manager_->GetDevice(id);
+    if (!dev.ok()) continue;
+    obs::PipelineDeviceSlice slice;
+    slice.device = static_cast<int>(id);
+    const DeviceCharges& run = ledger_->Charges(*dev);
+    if (static_cast<size_t>(index) < run.pipelines.size()) {
+      const PipelineBusy& busy = run.pipelines[static_cast<size_t>(index)];
+      slice.transfer_ms = busy.h2d_us / 1000.0;
+      slice.d2h_ms = busy.d2h_us / 1000.0;
+      slice.compute_ms = busy.compute_us / 1000.0;
     }
+    profile.devices.push_back(slice);
   }
-  pipeline_busy_snapshot_.clear();
   exec_.stats.profile.pipelines.push_back(std::move(profile));
 }
 
@@ -156,22 +158,9 @@ Status RunContext::BeginPipeline(const Pipeline& pipeline,
                             "}");
   }
   cur_pipeline_index_ = index;
-  if (options_.collect_profile) {
-    pipeline_start_ = std::chrono::steady_clock::now();
-    pipeline_chunk_start_ = exec_.stats.chunks;
-    pipeline_busy_snapshot_.clear();
-    if (options_.reset_device_state) {
-      for (DeviceId id : used_devices_) {
-        auto dev = manager_->GetDevice(id);
-        if (!dev.ok()) continue;
-        BusySnapshot snapshot;
-        snapshot.h2d = (*dev)->transfer_timeline().busy_time();
-        snapshot.d2h = (*dev)->d2h_timeline().busy_time();
-        snapshot.compute = (*dev)->compute_timeline().busy_time();
-        pipeline_busy_snapshot_[id] = snapshot;
-      }
-    }
-  }
+  pipeline_start_ = std::chrono::steady_clock::now();
+  pipeline_chunk_start_ = exec_.stats.chunks;
+  if (own_ledger_ != nullptr) ledger_->set_pipeline(index);
   return Status::OK();
 }
 
@@ -1109,6 +1098,25 @@ void RunContext::ReleaseAll() {
     auto dev = manager_->GetDevice(id);
     if (dev.ok()) (*dev)->SetAsyncMode(false);
   }
+  for (SimulatedDevice* dev : joined_) dev->LeaveRun(ledger_);
+  joined_.clear();
+}
+
+void RunContext::AddHubCounters(const DataTransferHub& hub) {
+  QueryStats& stats = exec_.stats;
+  stats.bytes_h2d += hub.bytes_host_to_device();
+  stats.bytes_d2h += hub.bytes_device_to_host();
+  stats.scan_cache_hits += hub.scan_cache_hits();
+  stats.scan_cache_misses += hub.scan_cache_misses();
+  stats.bytes_h2d_saved += hub.bytes_h2d_saved();
+}
+
+void RunContext::Absorb(const RunContext& partition) {
+  AddHubCounters(partition.hub_);
+  exec_.stats.chunks += partition.exec_.stats.chunks;
+  if (options_.collect_operator_stats) {
+    MergeOperatorStats(partition.op_stats_);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1345,21 +1353,14 @@ void RunContext::FinalizeOperatorStats() {
 void RunContext::FinalizeStats() {
   ClosePipeline();
   QueryStats& stats = exec_.stats;
-  if (options_.collect_profile) {
-    stats.profile.collected = true;
-    stats.profile.run_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - run_start_)
-                               .count();
-    stats.profile.merge_host_ms = stats.merge_host_ms;
-    if (options_.cancel_token != nullptr &&
-        options_.cancel_token->cancelled()) {
-      stats.profile.cancelled_cause =
-          CancelCauseToString(options_.cancel_token->cause());
-    }
+  stats.profile.run_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - run_start_)
+                             .count();
+  stats.profile.merge_host_ms = stats.merge_host_ms;
+  if (options_.cancel_token != nullptr && options_.cancel_token->cancelled()) {
+    stats.profile.cancelled_cause =
+        CancelCauseToString(options_.cancel_token->cause());
   }
-  // EXPLAIN ANALYZE export happens before the shared-device early return
-  // below: operator stats use only wall clocks and this run's own counters,
-  // so they are safe (and meaningful) under shared device leases.
   if (options_.collect_operator_stats) {
     FinalizeOperatorStats();
     stats.profile.operators.clear();
@@ -1369,25 +1370,14 @@ void RunContext::FinalizeStats() {
       stats.profile.operators.push_back(op);
     }
   }
-  stats.bytes_h2d += hub_.bytes_host_to_device();
-  stats.bytes_d2h += hub_.bytes_device_to_host();
-  stats.scan_cache_hits += hub_.scan_cache_hits();
-  stats.scan_cache_misses += hub_.scan_cache_misses();
-  stats.bytes_h2d_saved += hub_.bytes_h2d_saved();
-  // One slot per plugged device so DeviceId indexes stay valid, but only
-  // the devices this query used are read — touching another device's live
-  // counters would race with concurrently-running queries.
+  AddHubCounters(hub_);
+  // One slot per plugged device so DeviceId indexes stay valid; the devices
+  // this run used are filled from its ledger.
   stats.devices.resize(manager_->num_devices());
   for (size_t i = 0; i < manager_->num_devices(); ++i) {
     stats.devices[i].name =
         manager_->device(static_cast<DeviceId>(i))->name();
   }
-  // The timeline/counter/high-water accessors are unsynchronized and only
-  // meaningful under an exclusive device lease; when the service shares a
-  // device across queries (reset_device_state == false) a neighbour
-  // mutates them under the device's call mutex mid-read, so skip the
-  // snapshot entirely — entries keep just their names.
-  if (!options_.reset_device_state) return;
   for (DeviceId id : used_devices_) {
     // Guard like ReleaseAll: a failed run may list a device that was never
     // valid (unknown graph annotation), and FinalizeStats runs on every
@@ -1398,18 +1388,11 @@ void RunContext::FinalizeStats() {
     }
     SimulatedDevice* dev = *dev_or;
     DeviceRunStats& ds = stats.devices[static_cast<size_t>(id)];
-    ds.h2d_busy_us = dev->transfer_timeline().busy_time();
-    ds.d2h_busy_us = dev->d2h_timeline().busy_time();
-    ds.compute_busy_us = dev->compute_timeline().busy_time();
-    ds.kernel_body_us = dev->kernel_body_time();
-    ds.kernel_body_by_name = dev->kernel_body_by_name();
-    ds.transfer_wire_us = dev->transfer_wire_time();
-    ds.execute_calls = dev->stats().execute;
-    ds.place_calls = dev->stats().place_data;
-    ds.retrieve_calls = dev->stats().retrieve_data;
-    ds.prepare_calls = dev->stats().prepare_memory;
-    ds.device_mem_high_water = dev->device_arena().high_water();
-    ds.pinned_mem_high_water = dev->pinned_arena().high_water();
+    const DeviceCharges& run = ledger_->Charges(dev);
+    ds = run.stats;
+    ds.name = dev->name();
+    stats.elapsed_us =
+        std::max(stats.elapsed_us, run.completion - run.joined_at);
     // Report the variant the run actually resolved: a forced option wins,
     // kAuto means the device's native policy.
     const KernelVariant effective =
@@ -1424,24 +1407,8 @@ void RunContext::FinalizeStats() {
                                    ? options_.kernel_threads
                                    : dev->kernel_threads())
                             : 1;
-    ds.parallel_launches = dev->parallel_launches();
-    ds.fused_launches = dev->fused_launches();
-    ds.fused_body_us = dev->fused_body_time();
     stats.kernel_body_us += ds.kernel_body_us;
     stats.transfer_wire_us += ds.transfer_wire_us;
-    stats.elapsed_us = std::max(stats.elapsed_us, dev->MaxCompletion());
-    if (options_.collect_profile) {
-      obs::DeviceProfile dp;
-      dp.name = ds.name;
-      dp.transfer_ms = static_cast<double>(ds.h2d_busy_us) / 1000.0;
-      dp.d2h_ms = static_cast<double>(ds.d2h_busy_us) / 1000.0;
-      dp.compute_ms = static_cast<double>(ds.compute_busy_us) / 1000.0;
-      dp.kernel_body_ms = static_cast<double>(ds.kernel_body_us) / 1000.0;
-      dp.kernel_launches = ds.execute_calls;
-      dp.fused_launches = ds.fused_launches;
-      dp.fused_body_ms = static_cast<double>(ds.fused_body_us) / 1000.0;
-      stats.profile.devices.push_back(std::move(dp));
-    }
   }
 }
 

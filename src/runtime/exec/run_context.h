@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -66,25 +67,28 @@ class ChunkSource {
 };
 
 /// Per-run execution state shared by every ModelDriver: pipelines, edge
-/// bindings, breaker persists, staging plans, allocation ledgers, and the
-/// data transfer hub. A driver composes the public phase operations
-/// (Prepare / BeginPipeline / staging / RunChunks / CompleteRun) into its
-/// execution model; QueryExecutor::Run owns cleanup (ReleaseAll) and stats
-/// finalization.
+/// bindings, breaker persists, staging plans, allocation ledgers, the data
+/// transfer hub, and the run's simulated-cost ledger. A driver composes the
+/// public phase operations (Prepare / BeginPipeline / staging / RunChunks /
+/// CompleteRun) into its execution model; QueryExecutor::Run owns cleanup
+/// (ReleaseAll) and stats finalization.
 class RunContext {
  public:
+  /// `shared_ledger` makes this context a partition of a larger run: it
+  /// charges that run's ledger (the device-parallel driver passes its own)
+  /// and leaves the pipeline profile to it. Null = a run of its own.
   RunContext(DeviceManager* manager, PrimitiveGraph* graph,
-             const ExecutionOptions& options);
+             const ExecutionOptions& options,
+             RunLedger* shared_ledger = nullptr);
 
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
   /// Validates the graph, splits pipelines, resets chunk progress, and
-  /// readies the run's devices (state reset when the options ask for it,
-  /// async mode per the model). `device_override` names the devices the run
-  /// will touch when they cannot be derived from the graph's node
-  /// annotations — the device-parallel driver passes its device set so all
-  /// partition devices are reset and snapshotted.
+  /// readies the run's devices (SimulatedDevice::JoinRun unless this is a
+  /// partition; async mode per the model). `device_override` names the
+  /// devices the run will touch when they cannot be derived from the
+  /// graph's node annotations — the device-parallel driver passes its set.
   Status Prepare(const std::vector<DeviceId>& device_override = {});
 
   // --- Driver-facing phase operations ---
@@ -142,27 +146,25 @@ class RunContext {
   /// zero chunks of the producing pipeline but consume the merged result.
   Status BindPersistOutputs(const Pipeline& pipeline);
 
-  // --- EXPLAIN ANALYZE (options_.collect_operator_stats) ---
+  /// Folds a partition's hub counters, chunk count and operator stats into
+  /// this context (its device costs are already in this run's ledger). The
+  /// device-parallel driver calls it for every partition on every exit
+  /// path. Sub-graphs are clones with identical node ids, so operator
+  /// entries merge by id (sums; max for per-chunk selectivity).
+  void Absorb(const RunContext& partition);
 
-  /// This run's raw per-operator measurements, keyed by node id. Labels,
-  /// predictions and breaker output counts are stamped by FinalizeStats,
-  /// which exports the finished tree into QueryStats::profile.operators.
-  const std::map<int, obs::OperatorStats>& operator_stats() const {
-    return op_stats_;
-  }
-  /// Folds a partition sub-run's operator stats into this context. The
-  /// device-parallel driver's sub-graphs are clones with identical node
-  /// ids, so entries merge by id (sums; max for per-chunk selectivity).
-  void MergeOperatorStats(const std::map<int, obs::OperatorStats>& other);
+  /// Appends pipeline `index`'s profile entry: wall time, chunks, and each
+  /// device's busy time from the ledger. Called when a pipeline closes.
+  void RecordPipelineProfile(int index, double wall_ms, size_t chunks);
 
   // --- Cleanup and accounting (QueryExecutor::Run's business) ---
 
   /// Delete phase / error cleanup: scan leases, per-chunk and per-run
-  /// allocations, async mode off. Safe to call on every path.
+  /// allocations, async mode off, devices left. Safe to call on every path.
   void ReleaseAll();
 
-  /// Folds hub counters and per-device timeline/footprint snapshots into
-  /// the execution's QueryStats. Counters are added, not assigned, so a
+  /// Folds hub counters and the ledger's per-device records into the
+  /// execution's QueryStats. Counters are added, not assigned, so a
   /// composite driver may pre-accumulate sub-run statistics.
   void FinalizeStats();
 
@@ -172,8 +174,7 @@ class RunContext {
   const ExecutionOptions& options() const { return options_; }
   PrimitiveGraph* graph() { return graph_; }
   DeviceManager* manager() { return manager_; }
-  const DataTransferHub& hub() const { return hub_; }
-  bool async_mode() const { return async_; }
+  RunLedger& ledger() { return *ledger_; }
   QueryExecution& exec() { return exec_; }
   Result<QueryExecution> TakeExecution() { return std::move(exec_); }
 
@@ -198,6 +199,8 @@ class RunContext {
   Status RetrieveBreaker(const GraphNode& node);
   void FreeAll(std::vector<std::pair<DeviceId, BufferId>>* allocs);
   void ReleaseScanLeases();
+  void AddHubCounters(const DataTransferHub& hub);
+  void MergeOperatorStats(const std::map<int, obs::OperatorStats>& other);
 
   /// Valid rows behind a binding: its count buffer's value (read once per
   /// chunk via analyze_counts_), or its capacity when no count exists.
@@ -216,10 +219,9 @@ class RunContext {
 
   /// The track a pipeline's events record on: its first node's device.
   int PipelineTrack(const Pipeline& pipeline) const;
-  /// Closes the open pipeline trace span and, when profiling, folds the
-  /// pipeline's wall time / chunk count / per-device busy deltas into the
-  /// profile. Called from BeginPipeline (previous pipeline), ReleaseAll,
-  /// and FinalizeStats; idempotent.
+  /// Closes the open pipeline trace span and records the pipeline's
+  /// profile entry. Called from BeginPipeline (previous pipeline),
+  /// ReleaseAll, and FinalizeStats; idempotent.
   void ClosePipeline();
 
   DeviceManager* manager_;
@@ -229,6 +231,12 @@ class RunContext {
   const bool staged_;
   const bool async_;
   DataTransferHub hub_;
+  /// The run's own ledger; null for a partition, which charges its
+  /// parent's through `ledger_`.
+  std::unique_ptr<RunLedger> own_ledger_;
+  RunLedger* ledger_;
+  /// Devices joined in Prepare, left in ReleaseAll.
+  std::vector<SimulatedDevice*> joined_;
 
   std::vector<Pipeline> pipelines_;
   std::map<int, Binding> edge_bindings_;
@@ -255,12 +263,6 @@ class RunContext {
   size_t pipeline_chunk_start_ = 0;
   std::chrono::steady_clock::time_point run_start_;
   std::chrono::steady_clock::time_point pipeline_start_;
-  struct BusySnapshot {
-    sim::SimTime h2d = 0;
-    sim::SimTime d2h = 0;
-    sim::SimTime compute = 0;
-  };
-  std::map<DeviceId, BusySnapshot> pipeline_busy_snapshot_;
 
   // --- EXPLAIN ANALYZE state (options_.collect_operator_stats) ---
   std::map<int, obs::OperatorStats> op_stats_;

@@ -243,6 +243,9 @@ Result<QueryExecution> QueryExecutor::Run(PrimitiveGraph* graph,
                      std::string("query:") + ExecutionModelName(options.model));
   }
   exec::RunContext context(manager_, graph, options);
+  // Every device call this thread issues for the run — cleanup included —
+  // charges the run's ledger.
+  RunLedger::Scope charge_to(&context.ledger());
   Status st = driver->Execute(context);
   // Delete phase / error cleanup: give every allocation back. Stats are
   // finalized on the error path too, so a stats_sink observes the partial

@@ -117,27 +117,11 @@ struct ExecutionOptions {
   ScanBufferCache* scan_cache = nullptr;
   /// Charged/credited for the run's device-memory allocations.
   MemoryChargeListener* memory_listener = nullptr;
-  /// When false, the executor does not reset the devices' timelines, call
-  /// stats and arena high-water marks at query start, and does not snapshot
-  /// them into QueryStats::devices at the end (the accessors are
-  /// unsynchronized; reading them while a neighbour runs would race, and
-  /// the numbers would be meaningless anyway). Set by the service layer
-  /// when several queries share one device (slots_per_device > 1), where a
-  /// mid-run reset would clobber a concurrent query's accounting.
-  bool reset_device_state = true;
-  /// Fill QueryStats::profile with the per-pipeline / per-device phase
-  /// breakdown (obs::QueryProfile). Per-pipeline device slices need the
-  /// devices' timeline accessors, so they are only collected when
-  /// reset_device_state is also true (exclusive device use); wall-clock
-  /// pipeline timings and run_ms are collected regardless.
-  bool collect_profile = false;
   /// EXPLAIN ANALYZE: collect the per-operator obs::OperatorStats tree
   /// (rows in/out, kernel wall ms by variant, launches, bytes, cache hits,
-  /// per-device slices) into QueryStats::profile.operators. Orthogonal to
-  /// collect_profile and safe under shared devices — the collection uses
-  /// only wall clocks and this run's own counters, never the devices'
-  /// unsynchronized accessors. Results stay bit-identical to an
-  /// uninstrumented run.
+  /// per-device slices) into QueryStats::profile.operators. Safe under
+  /// shared devices — the collection uses only wall clocks and this run's
+  /// own counters. Results stay bit-identical to an uninstrumented run.
   bool collect_operator_stats = false;
   /// When set, the executor copies the run's QueryStats here on *every*
   /// exit path — including error and cancellation unwinds, where Run()
@@ -154,35 +138,9 @@ struct ExecutionOptions {
   CancelToken* cancel_token = nullptr;
 };
 
-/// Per-device timing/footprint snapshot for one query execution.
-struct DeviceRunStats {
-  std::string name;
-  sim::SimTime h2d_busy_us = 0;
-  sim::SimTime d2h_busy_us = 0;
-  sim::SimTime compute_busy_us = 0;
-  sim::SimTime kernel_body_us = 0;
-  /// Per-primitive-kernel body time ("map" -> us, "hash_build" -> us, ...).
-  std::map<std::string, sim::SimTime> kernel_body_by_name;
-  sim::SimTime transfer_wire_us = 0;
-  size_t execute_calls = 0;
-  size_t place_calls = 0;
-  size_t retrieve_calls = 0;
-  size_t prepare_calls = 0;
-  size_t device_mem_high_water = 0;  // nominal bytes
-  size_t pinned_mem_high_water = 0;  // nominal bytes
-  /// Task-layer variant policy the device ran under ("scalar"|"parallel"),
-  /// its thread budget, and how many Execute calls dispatched a parallel
-  /// variant fn — so benchmark output is self-describing.
-  std::string kernel_variant;
-  int kernel_threads = 0;
-  size_t parallel_launches = 0;
-  /// Execute calls that ran a FUSED composite kernel on this device, and
-  /// the share of kernel_body_us spent inside them.
-  size_t fused_launches = 0;
-  sim::SimTime fused_body_us = 0;
-};
-
 struct QueryStats {
+  /// Simulated elapsed time: the longest span, over the run's devices, from
+  /// the device clock where the run joined to its last booked completion.
   sim::SimTime elapsed_us = 0;
   /// Sum of pure kernel-body time across devices — the "total sum of
   /// processing time of the individual primitives" of Fig. 10; elapsed -
@@ -211,15 +169,15 @@ struct QueryStats {
   size_t scan_cache_hits = 0;
   size_t scan_cache_misses = 0;
   size_t bytes_h2d_saved = 0;
-  /// One entry per plugged device, indexed by DeviceId. Only the devices
-  /// this query's graph actually used carry timing/counter data; the rest
-  /// hold just their name (reading another device's live counters would
-  /// race with concurrently-running queries). With
-  /// ExecutionOptions::reset_device_state == false (shared device leases)
-  /// every entry is name-only and `elapsed_us` stays 0.
+  /// One entry per plugged device, indexed by DeviceId, read from the run's
+  /// ledger (device/run_ledger.h): every cost the devices booked for *this*
+  /// run and nothing a concurrent neighbour booked, so the numbers are the
+  /// same whether the run had its devices to itself or shared them. Devices
+  /// the run did not touch hold just their name.
   std::vector<DeviceRunStats> devices;
-  /// Phase breakdown (ExecutionOptions::collect_profile); queue_wait_ms is
-  /// stamped by the service layer, everything else by the executor.
+  /// Phase breakdown, filled on every run; queue_wait_ms is stamped by the
+  /// service layer, everything else by the executor. Its JSON renders the
+  /// device totals from `devices`: profile.ToJson(devices).
   obs::QueryProfile profile;
 };
 

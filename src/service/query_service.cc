@@ -634,6 +634,7 @@ void QueryService::WorkerLoop() {
                          attempt_ms > run_hist_->Quantile(0.95);
           }
           entry.profile = run_stats.profile;
+          entry.devices = run_stats.devices;
           entry.profile.queue_wait_ms = query->ticket->queue_wait_ms_;
           if (entry.slow) {
             slow_queries_->Increment();
@@ -808,12 +809,6 @@ Result<QueryExecution> QueryService::RunOne(
       }
     }
   }
-  // With exclusive device leases each run may reset its device's clocks and
-  // counters; with shared devices that would clobber a neighbour mid-run.
-  options.reset_device_state = config_.slots_per_device <= 1;
-  // Every served query carries its phase profile on the ticket; collection
-  // is a handful of clock reads per pipeline, so it is always on here.
-  options.collect_profile = true;
   // EXPLAIN ANALYZE: the operator tree rides the stats sink so it survives
   // error and cancel exits (Result<> carries no stats on failure).
   options.collect_operator_stats = config_.collect_operator_stats;
@@ -910,7 +905,7 @@ std::string QueryHistoryEntry::ToJson() const {
       << ",\"predicted_ms\":" << predicted_ms;
   if (deadline_ms > 0) out << ",\"deadline_ms\":" << deadline_ms;
   out << ",\"slow\":" << (slow ? "true" : "false")
-      << ",\"profile\":" << profile.ToJson() << "}";
+      << ",\"profile\":" << profile.ToJson(devices) << "}";
   return out.str();
 }
 

@@ -84,8 +84,9 @@ struct ServiceConfig {
   /// Worker threads draining the admission queue.
   size_t workers = 4;
   /// Concurrent queries per device. 1 (default) leases each device
-  /// exclusively: per-query timing stays exact. >1 interleaves queries on
-  /// the shared simulated device: results stay exact, timing approximate.
+  /// exclusively. >1 interleaves queries on the shared simulated device:
+  /// results and each run's ledger (kernel body, wire time, bytes, calls)
+  /// stay exact; elapsed time is measured on the shared device clock.
   size_t slots_per_device = 1;
   /// Admission queue bound; Submit rejects beyond it.
   size_t max_queue = 256;
@@ -136,6 +137,8 @@ struct QueryHistoryEntry {
   /// operator tree; fast ones keep only the phase summary (operators
   /// dropped), bounding the ring's memory.
   obs::QueryProfile profile;
+  /// The run's per-device totals, rendered into the profile's JSON.
+  std::vector<DeviceRunStats> devices;
 
   std::string ToJson() const;
 };

@@ -330,6 +330,16 @@ TEST(ExecutorCancelTest, SeededDeadlineLeavesConsistentOperatorStats) {
       // order, each internally consistent however far the run got.
       const std::vector<obs::OperatorStats>& ops = sink.profile.operators;
       ASSERT_FALSE(ops.empty()) << "stats sink not finalized";
+      // Hub counters fold on every exit path too: the sink's transfer bytes
+      // are exactly what the operators' placements moved — for the
+      // device-parallel model, what its partitions' hubs moved.
+      uint64_t op_bytes_h2d = 0, op_bytes_d2h = 0;
+      for (const obs::OperatorStats& op : ops) {
+        op_bytes_h2d += op.bytes_h2d;
+        op_bytes_d2h += op.bytes_d2h;
+      }
+      EXPECT_EQ(sink.bytes_h2d, op_bytes_h2d);
+      EXPECT_EQ(sink.bytes_d2h, op_bytes_d2h);
       uint64_t total_rows_in = 0;
       for (size_t i = 0; i < ops.size(); ++i) {
         const obs::OperatorStats& op = ops[i];
@@ -450,7 +460,6 @@ TEST(TransferHubCancelTest, CancelledTokenStopsLoads) {
 
 TEST(ProfileCancelTest, CancelMarksSerializeToJson) {
   obs::QueryProfile profile;
-  profile.collected = true;
   profile.cancelled_cause = "deadline";
   obs::PipelineProfile pipeline;
   pipeline.index = 0;

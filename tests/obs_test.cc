@@ -377,33 +377,38 @@ TEST(ProfileTest, DirectRunCollectsPhaseBreakdown) {
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
-  options.collect_profile = true;
   QueryExecutor executor(&manager);
   auto exec = executor.Run(bundle->graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
   const obs::QueryProfile& profile = exec->stats.profile;
-  EXPECT_TRUE(profile.collected);
   EXPECT_GT(profile.run_ms, 0.0);
   ASSERT_FALSE(profile.pipelines.empty());  // Q3 is multi-pipeline
   EXPECT_GT(profile.pipelines.size(), 1u);
   size_t chunks = 0;
   for (const auto& pipeline : profile.pipelines) chunks += pipeline.chunks;
   EXPECT_EQ(chunks, exec->stats.chunks);
-  ASSERT_EQ(profile.devices.size(), 1u);
-  EXPECT_GT(profile.devices[0].compute_ms, 0.0);
-  EXPECT_GT(profile.devices[0].transfer_ms, 0.0);
-  EXPECT_GT(profile.devices[0].kernel_launches, 0u);
+  ASSERT_EQ(exec->stats.devices.size(), 1u);
+  const DeviceRunStats& device_stats = exec->stats.devices[0];
+  EXPECT_GT(device_stats.compute_busy_us, 0.0);
+  EXPECT_GT(device_stats.h2d_busy_us, 0.0);
+  EXPECT_GT(device_stats.execute_calls, 0u);
+  // Every pipeline carries its device's busy slice.
+  for (const auto& pipeline : profile.pipelines) {
+    ASSERT_EQ(pipeline.devices.size(), 1u);
+  }
 
-  const std::string json = profile.ToJson();
+  const std::string json = profile.ToJson(exec->stats.devices);
   for (const char* want :
        {"\"queue_wait_ms\"", "\"run_ms\"", "\"merge_host_ms\"",
-        "\"pipelines\"", "\"devices\"", "\"transfer_ms\"", "\"compute_ms\""}) {
+        "\"pipelines\"", "\"devices\"", "\"transfer_ms\"", "\"compute_ms\"",
+        "\"d2h_ms\"", "\"kernel_body_ms\"", "\"kernel_launches\"",
+        "\"fused_launches\"", "\"fused_body_ms\"", "\"name\""}) {
     EXPECT_NE(json.find(want), std::string::npos) << want;
   }
 }
 
-TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
+TEST(ProfileTest, EveryRunIsProfiledAndServiceTicketCarriesIt) {
   tpch::TpchConfig config;
   config.scale_factor = 0.002;
   auto catalog = tpch::Generate(config);
@@ -414,17 +419,18 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
   ASSERT_TRUE(device.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
 
-  // Direct run without opting in: no profile.
+  // A direct run with default options carries its profile.
   {
     auto bundle = test::PrepareUnfused("6", **catalog, &manager, 0);
     ASSERT_TRUE(bundle.ok());
     QueryExecutor executor(&manager);
     auto exec = executor.Run(bundle->bundle.graph.get(), {});
     ASSERT_TRUE(exec.ok());
-    EXPECT_FALSE(exec->stats.profile.collected);
+    EXPECT_FALSE(exec->stats.profile.pipelines.empty());
+    EXPECT_GT(exec->stats.profile.run_ms, 0.0);
   }
 
-  // Through the service: always profiled, and queue wait is stamped in.
+  // Through the service too, with the queue wait stamped in.
   ServiceConfig service_config;
   service_config.workers = 1;
   QueryService service(&manager, service_config);
@@ -438,7 +444,6 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
   const Result<QueryExecution>& result = (*ticket)->Wait();
   ASSERT_TRUE(result.ok());
   const obs::QueryProfile& profile = result->stats.profile;
-  EXPECT_TRUE(profile.collected);
   EXPECT_EQ(profile.queue_wait_ms, (*ticket)->queue_wait_ms());
   EXPECT_FALSE(profile.pipelines.empty());
   service.Drain();
@@ -520,7 +525,7 @@ TEST(OperatorStatsTest, CollectedTreeAlignsWithGraphAndResultsBitIdentical) {
   }
 }
 
-TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceProfile) {
+TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceStats) {
   tpch::TpchConfig config;
   config.scale_factor = 0.002;
   auto catalog = tpch::Generate(config);
@@ -535,7 +540,6 @@ TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceProfile) {
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.fusion = FusionMode::kOn;
-  options.collect_profile = true;
   options.collect_operator_stats = true;
   auto fusion = plan::ApplyFusion(&bundle->bundle, options, &manager);
   ASSERT_TRUE(fusion.ok());
@@ -545,17 +549,17 @@ TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceProfile) {
   auto exec = executor.Run(bundle->bundle.graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
-  // Satellite: the fused launch count and body-time share surface in the
-  // DeviceProfile and its JSON, and the operator tree attributes the wall
-  // time to the fused variant bucket.
-  ASSERT_EQ(exec->stats.profile.devices.size(), 1u);
-  const obs::DeviceProfile& dev = exec->stats.profile.devices[0];
+  // The fused launch count and body-time share surface in the device stats
+  // and the profile JSON, and the operator tree attributes the wall time to
+  // the fused variant bucket.
+  ASSERT_EQ(exec->stats.devices.size(), 1u);
+  const DeviceRunStats& dev = exec->stats.devices[0];
   EXPECT_GT(dev.fused_launches, 0u);
-  EXPECT_GT(dev.kernel_launches, 0u);
-  EXPECT_LE(dev.fused_launches, dev.kernel_launches);
-  EXPECT_GE(dev.fused_body_ms, 0.0);
-  EXPECT_LE(dev.fused_body_ms, dev.kernel_body_ms + 1e-9);
-  const std::string json = exec->stats.profile.ToJson();
+  EXPECT_GT(dev.execute_calls, 0u);
+  EXPECT_LE(dev.fused_launches, dev.execute_calls);
+  EXPECT_GE(dev.fused_body_us, 0.0);
+  EXPECT_LE(dev.fused_body_us, dev.kernel_body_us);
+  const std::string json = exec->stats.profile.ToJson(exec->stats.devices);
   EXPECT_NE(json.find("\"fused_launches\""), std::string::npos);
   EXPECT_NE(json.find("\"fused_body_ms\""), std::string::npos);
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -98,6 +99,37 @@ Result<sql::PreparedQuery> PrepareMatrix(const std::string& name,
                       options);
 }
 
+// After an exclusive run the devices' own counters (restarted when the run
+// joined them) hold exactly what the run's ledger charged. Exact equality
+// on every ledger-derived field catches any booking the ledger misses.
+void ExpectLedgerMatchesDevices(DeviceManager* manager,
+                                const QueryStats& stats) {
+  sim::SimTime elapsed = 0;
+  for (size_t i = 0; i < stats.devices.size(); ++i) {
+    const DeviceRunStats& got = stats.devices[i];
+    if (got.kernel_variant.empty()) continue;  // not touched by this run
+    SCOPED_TRACE(got.name);
+    SimulatedDevice* dev = manager->device(static_cast<DeviceId>(i));
+    EXPECT_EQ(got.h2d_busy_us, dev->transfer_timeline().busy_time());
+    EXPECT_EQ(got.d2h_busy_us, dev->d2h_timeline().busy_time());
+    EXPECT_EQ(got.compute_busy_us, dev->compute_timeline().busy_time());
+    EXPECT_EQ(got.kernel_body_us, dev->kernel_body_time());
+    EXPECT_EQ(got.kernel_body_by_name, dev->kernel_body_by_name());
+    EXPECT_EQ(got.fused_body_us, dev->fused_body_time());
+    EXPECT_EQ(got.transfer_wire_us, dev->transfer_wire_time());
+    EXPECT_EQ(got.execute_calls, dev->stats().execute);
+    EXPECT_EQ(got.place_calls, dev->stats().place_data);
+    EXPECT_EQ(got.retrieve_calls, dev->stats().retrieve_data);
+    EXPECT_EQ(got.prepare_calls, dev->stats().prepare_memory);
+    EXPECT_EQ(got.parallel_launches, dev->parallel_launches());
+    EXPECT_EQ(got.fused_launches, dev->fused_launches());
+    EXPECT_EQ(got.device_mem_high_water, dev->device_arena().high_water());
+    EXPECT_EQ(got.pinned_mem_high_water, dev->pinned_arena().high_water());
+    elapsed = std::max(elapsed, dev->MaxCompletion());
+  }
+  EXPECT_EQ(stats.elapsed_us, elapsed);
+}
+
 Result<QueryExecution> RunModel(DeviceManager* manager,
                                 const plan::PlanBundle& bundle,
                                 ExecutionModelKind model) {
@@ -116,6 +148,8 @@ void ExpectAllModelsBitIdentical(const std::string& name) {
     const Status verdict = query->Verify(*exec);
     EXPECT_TRUE(verdict.ok()) << ExecutionModelName(model) << ": "
                               << verdict.ToString();
+    SCOPED_TRACE(ExecutionModelName(model));
+    ExpectLedgerMatchesDevices(manager.get(), exec->stats);
   }
 }
 
@@ -166,6 +200,7 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
           OptionsFor(model, KernelVariantRequest::kParallel));
       ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       EXPECT_TRUE(query->Verify(*exec).ok());
+      ExpectLedgerMatchesDevices(manager.get(), exec->stats);
       // The stats must report what actually ran.
       for (const DeviceRunStats& device : exec->stats.devices) {
         if (device.execute_calls == 0) continue;
@@ -195,6 +230,7 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithFusionForced) {
       auto exec = executor.Run(query->bundle.graph.get(), OptionsFor(model));
       ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       EXPECT_TRUE(query->Verify(*exec).ok());
+      ExpectLedgerMatchesDevices(manager.get(), exec->stats);
       size_t fused_launches = 0;
       for (const DeviceRunStats& device : exec->stats.devices) {
         fused_launches += device.fused_launches;

@@ -570,6 +570,113 @@ TEST(QueryServiceTest, MultiDeviceLeaseRunsDeviceParallel) {
   }
 }
 
+// --- Shared device slots: per-run accounting ------------------------------
+
+// Sums a run's per-device call counts (a single-device run may land on
+// either GPU, so compare totals rather than device ids).
+struct CallTotals {
+  size_t execute = 0;
+  size_t place = 0;
+  size_t retrieve = 0;
+};
+
+CallTotals SumCalls(const QueryStats& stats) {
+  CallTotals totals;
+  for (const DeviceRunStats& device : stats.devices) {
+    totals.execute += device.execute_calls;
+    totals.place += device.place_calls;
+    totals.retrieve += device.retrieve_calls;
+  }
+  return totals;
+}
+
+// Two identical GPUs whose every Execute stalls the calling thread for 1 ms
+// of wall time (simulated time is untouched), so runs submitted together
+// really overlap on a shared device.
+std::unique_ptr<DeviceManager> StalledGpuPair() {
+  auto manager = std::make_unique<DeviceManager>();
+  for (int i = 0; i < 2; ++i) {
+    auto device = manager->AddDriver(
+        sim::DriverKind::kCudaGpu, "gpu." + std::to_string(i),
+        FaultPlan::StickyStall(InterfaceCall::kExecute, 1.0));
+    ADAMANT_CHECK(device.ok()) << device.status().ToString();
+    ADAMANT_CHECK(BindStandardKernels(manager->device(*device)).ok());
+  }
+  return manager;
+}
+
+// Under slots_per_device = 2 each run's accounting comes from its own
+// ledger: kernel body, wire time, bytes and call counts equal the same run
+// on an exclusive lease exactly, elapsed time is measured, and every
+// pipeline of the profile carries its device slices — for two concurrent
+// single-device Q6 runs and a two-device parallel lease sharing their GPUs.
+TEST(QueryServiceTest, SharedSlotRunsAccountLikeExclusiveRuns) {
+  const auto& fixture = ServiceFixture::Get();
+  QuerySpec q6 = fixture.mix->Spec(2);
+  q6.options.chunk_elems = 2048;
+  QuerySpec parallel = q6;
+  parallel.options.model = ExecutionModelKind::kDeviceParallel;
+  parallel.parallel_devices = 2;
+
+  ServiceConfig config;
+  config.workers = 3;
+  // Neither cache hits nor selectivity feedback from an earlier run may
+  // change what a later run moves or launches.
+  config.enable_cache = false;
+  config.collect_operator_stats = false;
+
+  // Exclusive references: one run at a time, one slot per device.
+  std::vector<QueryStats> exclusive;
+  {
+    auto manager = StalledGpuPair();
+    QueryService service(manager.get(), config);
+    for (const QuerySpec& spec : {q6, parallel}) {
+      auto ticket = service.Submit(spec);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      const Result<QueryExecution>& result = (*ticket)->Wait();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      exclusive.push_back(result->stats);
+    }
+  }
+
+  config.slots_per_device = 2;
+  auto manager = StalledGpuPair();
+  QueryService service(manager.get(), config);
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (const QuerySpec* spec : {&q6, &q6, &parallel}) {
+    auto ticket = service.Submit(*spec);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(*ticket);
+  }
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    SCOPED_TRACE(i == 2 ? "device-parallel lease" : "single-device run");
+    const Result<QueryExecution>& result = tickets[i]->Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const QueryStats& got = result->stats;
+    const QueryStats& want = exclusive[i == 2 ? 1 : 0];
+    EXPECT_EQ(got.kernel_body_us, want.kernel_body_us);
+    EXPECT_EQ(got.transfer_wire_us, want.transfer_wire_us);
+    EXPECT_EQ(got.bytes_h2d, want.bytes_h2d);
+    EXPECT_EQ(got.bytes_d2h, want.bytes_d2h);
+    const CallTotals got_calls = SumCalls(got);
+    const CallTotals want_calls = SumCalls(want);
+    EXPECT_EQ(got_calls.execute, want_calls.execute);
+    EXPECT_EQ(got_calls.place, want_calls.place);
+    EXPECT_EQ(got_calls.retrieve, want_calls.retrieve);
+    EXPECT_GT(got.elapsed_us, 0.0);
+    ASSERT_FALSE(got.profile.pipelines.empty());
+    double compute_ms = 0;
+    for (const obs::PipelineProfile& pipeline : got.profile.pipelines) {
+      EXPECT_FALSE(pipeline.devices.empty()) << "pipeline " << pipeline.index;
+      for (const obs::PipelineDeviceSlice& slice : pipeline.devices) {
+        compute_ms += slice.compute_ms;
+      }
+    }
+    EXPECT_GT(compute_ms, 0.0);
+  }
+  service.Drain();
+}
+
 TEST(QueryServiceTest, MultiDeviceLeaseValidatesSpec) {
   const auto& fixture = ServiceFixture::Get();
   DeviceManager manager;

@@ -429,7 +429,6 @@ ExecutionOptions MakeExecOptions(const Options& options) {
     exec_options.device_split = options.device_split;
   }
   exec_options.split_rebalance = !options.no_rebalance;
-  exec_options.collect_profile = options.profile;
   exec_options.collect_operator_stats = options.explain_analyze;
   exec_options.kernel_variant = *ParseKernelVariant(options.kernel_variant);
   exec_options.kernel_threads = options.kernel_threads;
@@ -658,9 +657,7 @@ Status RunQuery(const std::string& source, const std::string& label,
   {
     // Self-describing benchmark output: which Task-layer kernel variant each
     // used device resolved, its thread budget, and how many launches
-    // actually dispatched a parallel or fused fn. Empty when the run went
-    // through a shared-device service lease (per-device snapshots are
-    // skipped there).
+    // actually dispatched a parallel or fused fn.
     std::string variants_json;
     for (const DeviceRunStats& ds : exec.stats.devices) {
       if (ds.execute_calls == 0 || ds.kernel_variant.empty()) continue;
@@ -680,7 +677,8 @@ Status RunQuery(const std::string& source, const std::string& label,
     }
   }
   if (options.profile) {
-    std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
+    std::printf("    profile: %s\n",
+                exec.stats.profile.ToJson(exec.stats.devices).c_str());
   }
   if (options.explain_analyze) {
     PrintExplainAnalyze(name, exec.stats.profile.operators);
